@@ -12,7 +12,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .errors import (
-    ArithmeticOverflow,
     DihomError,
     Disconnected,
     EmptyComplex,

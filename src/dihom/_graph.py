@@ -1,0 +1,63 @@
+"""Traversals of graphs given as adjacency lists on vertices ``0 .. n-1``.
+
+Every reachability question the package asks goes through one of these:
+components of hom complexes and their one-skeleta, paths between
+homomorphisms, acyclicity of Morse matchings and of DAG sources.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+
+def bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
+    """Fewest arrows from ``start`` to each vertex, ``-1`` if unreachable."""
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    queue = [start]
+    for v in queue:  # the queue grows while it is read
+        d = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
+def components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Connected components of a symmetric adjacency.
+
+    Each component lists its vertices in ascending order; components come
+    in order of their least vertex.
+    """
+    seen = [False] * len(adj)
+    comps = []
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for v in comp:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comp.sort()
+        comps.append(comp)
+    return comps
+
+
+def topological_order(succ: Sequence[Sequence[int]]) -> list[int] | None:
+    """A Kahn order of the digraph with successor lists ``succ``, or
+    ``None`` when it has a directed cycle (a loop counts as one)."""
+    indeg = [0] * len(succ)
+    for ws in succ:
+        for w in ws:
+            indeg[w] += 1
+    order = [v for v in range(len(succ)) if indeg[v] == 0]
+    for v in order:
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    return order if len(order) == len(succ) else None

@@ -34,16 +34,9 @@ from .digraph import DEFAULT_CAP, Digraph, VertexMap
 from .errors import DihomError, EmptyHom, ParseError
 from .homcomplex import hom_one_skeleton, hom_poset
 from .homology import HomologyGroups, homology_of_poset, is_n_leray, reduced_homology
-from .homotopy import (
-    bihomotopic,
-    dihomotopic,
-    find_fold,
-    fold,
-    is_dismantlable,
-    line_homotopic,
-)
+from .homotopy import _fold_to_stiff, _HomRelations, _is_looped_point
 from .morse import is_acyclic_matching, tournament_matching
-from .reconfig import meet_path
+from .reconfig import _skeleton_diameter, meet_path
 
 # Posets larger than this skip the homology computation in `hom` output.
 _HOMOLOGY_CELL_LIMIT = 4000
@@ -248,20 +241,13 @@ def _cmd_nbd(ns: argparse.Namespace) -> Any:
 
 def _cmd_fold(ns: argparse.Namespace) -> Any:
     g = _load_graph(ns.graph)
-    trace = []
-    current = g
-    while True:
-        f = find_fold(current)
-        if f is None:
-            break
-        trace.append(list(f))
-        current = fold(current, *f)
+    trace, stiff = _fold_to_stiff(g)
     return {
         # Fold pairs refer to the labels at the step they were taken
         # (deleting a vertex shifts the labels above it down).
-        "fold_trace": trace,
-        "stiff": _graph_json(current),
-        "dismantlable": is_dismantlable(g),
+        "fold_trace": [list(f) for f in trace],
+        "stiff": _graph_json(stiff),
+        "dismantlable": _is_looped_point(stiff),
     }
 
 
@@ -270,19 +256,13 @@ def _cmd_reconfig(ns: argparse.Namespace) -> Any:
     sk = hom_one_skeleton(g, transitive_tournament(ns.n))
     if len(sk) == 0:
         raise EmptyHom(f"no homomorphisms into the transitive tournament T_{ns.n}")
-    connected = sk.is_connected()
+    diameter = _skeleton_diameter(sk)
     out: dict[str, Any] = {
         "homomorphisms": len(sk),
         "edges": len(sk.edges),
-        "connected": connected,
+        "connected": diameter is not None,
+        "diameter": diameter,
     }
-    if connected:
-        best = 0
-        for i in range(len(sk)):
-            best = max(best, max(sk.bfs_distances(i)))
-        out["diameter"] = best
-    else:
-        out["diameter"] = None
     maps = sk.maps
     if ns.seed is not None:
         rng = random.Random(ns.seed)
@@ -304,13 +284,14 @@ def _cmd_homotopy(ns: argparse.Namespace) -> Any:
     h = _load_graph(ns.target)
     f1 = _parse_map(ns.f)
     f2 = _parse_map(ns.g)
+    rel = _HomRelations(g, h)
     return {
         "f": list(f1.image),
         "g": list(f2.image),
-        "bihomotopic": bihomotopic(f1, f2, g, h),
-        "dihomotopic": dihomotopic(f1, f2, g, h),
-        "dihomotopic_reverse": dihomotopic(f2, f1, g, h),
-        "line_homotopic": line_homotopic(f1, f2, g, h),
+        "bihomotopic": rel.bihomotopic(f1, f2),
+        "dihomotopic": rel.dihomotopic(f1, f2),
+        "dihomotopic_reverse": rel.dihomotopic(f2, f1),
+        "line_homotopic": rel.line_homotopic(f1, f2),
     }
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Hashable, Iterable
 
+from . import _graph
 from .digraph import Digraph, _bits
 from .errors import (
     EmptyComplex,
@@ -248,21 +249,10 @@ class Poset:
         elems = tuple(elements)
         pos = {x: i for i, x in enumerate(elems)}
         succ: list[list[int]] = [[] for _ in elems]
-        indeg = [0] * len(elems)
         for a, b in covers:
             succ[pos[a]].append(pos[b])
-            indeg[pos[b]] += 1
-        # Kahn order, then accumulate reachability masks in reverse.
-        order: list[int] = [i for i in range(len(elems)) if indeg[i] == 0]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for w in succ[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-        if len(order) != len(elems):
+        order = _graph.topological_order(succ)
+        if order is None:
             raise ValueError("cover relation has a cycle")
         up = [0] * len(elems)
         for v in reversed(order):
@@ -316,22 +306,11 @@ class Poset:
 
     def is_connected(self) -> bool:
         """Connectivity of the comparability graph (empty poset: False)."""
-        n = len(self.elements)
-        if n == 0:
-            return False
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in self.elements]
         for i, j in self.covering_index_pairs():
-            adj[i].add(j)
-            adj[j].add(i)
-        seen = {0}
-        todo = [0]
-        while todo:
-            v = todo.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == n
+            adj[i].append(j)
+            adj[j].append(i)
+        return len(_graph.components(adj)) == 1
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements)"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
+from . import _graph
 from .errors import (
     InvalidRange,
     InvalidVertex,
@@ -134,47 +135,12 @@ class Digraph:
 
     def is_acyclic(self) -> bool:
         """True when the digraph has no directed cycle (loops count)."""
-        state = [0] * self.n  # 0 unseen, 1 on stack, 2 done
-        for root in range(self.n):
-            if state[root]:
-                continue
-            stack: list[tuple[int, Iterator[int]]] = [(root, _bits(self._out[root]))]
-            state[root] = 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if state[w] == 1:
-                        return False
-                    if state[w] == 0:
-                        state[w] = 1
-                        stack.append((w, _bits(self._out[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[v] = 2
-                    stack.pop()
-        return True
+        return _graph.topological_order([list(_bits(m)) for m in self._out]) is not None
 
     def weak_components(self) -> list[frozenset[int]]:
         """Connected components of the underlying undirected graph."""
-        seen = [False] * self.n
-        comps = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            comp = []
-            todo = [root]
-            seen[root] = True
-            while todo:
-                v = todo.pop()
-                comp.append(v)
-                for w in _bits(self._out[v] | self._in[v]):
-                    if not seen[w]:
-                        seen[w] = True
-                        todo.append(w)
-            comps.append(frozenset(comp))
-        return comps
+        adj = [list(_bits(o | i)) for o, i in zip(self._out, self._in)]
+        return [frozenset(c) for c in _graph.components(adj)]
 
     def is_weakly_connected(self) -> bool:
         return self.n <= 1 or len(self.weak_components()) == 1

@@ -48,15 +48,6 @@ class FaceNotInComplex(DihomError):
     """The given vertex set is not a face of the complex."""
 
 
-class ArithmeticOverflow(DihomError):
-    """Fixed-width integer arithmetic overflowed.
-
-    Kept for interface completeness: the Smith normal form routine works
-    with Python's arbitrary-precision integers, so this is never raised in
-    practice.
-    """
-
-
 class InvalidMatching(DihomError):
     """A partial matching is malformed with respect to its poset."""
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
+from . import _graph
 from .complexes import (
     Poset,
     SimplicialComplex,
@@ -231,23 +232,11 @@ class HomPoset:
         return sum((-1) ** d * k for d, k in self.dimension_census().items())
 
     def components(self) -> list[list[MultiHom]]:
-        n = len(self.cells)
-        parent = list(range(n))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        adj: list[list[int]] = [[] for _ in self.cells]
         for i, j in self.covering_index_pairs():
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        groups: dict[int, list[MultiHom]] = {}
-        for i, c in enumerate(self.cells):
-            groups.setdefault(find(i), []).append(c)
-        return list(groups.values())
+            adj[i].append(j)
+            adj[j].append(i)
+        return [[self.cells[i] for i in c] for c in _graph.components(adj)]
 
     def is_connected(self) -> bool:
         return len(self.cells) > 0 and len(self.components()) == 1
@@ -363,37 +352,10 @@ class HomSkeleton:
         return self._adj[i]
 
     def bfs_distances(self, start: int) -> list[int]:
-        dist = [-1] * len(self.maps)
-        dist[start] = 0
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w in self._adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
+        return _graph.bfs_distances(self._adj, start)
 
     def components(self) -> list[list[int]]:
-        seen = [False] * len(self.maps)
-        comps = []
-        for root in range(len(self.maps)):
-            if seen[root]:
-                continue
-            comp = []
-            todo = [root]
-            seen[root] = True
-            while todo:
-                v = todo.pop()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        todo.append(w)
-            comps.append(comp)
-        return comps
+        return _graph.components(self._adj)
 
     def is_connected(self) -> bool:
         return len(self.maps) > 0 and len(self.components()) == 1

@@ -20,8 +20,9 @@ edge ``(v, w)`` of ``G``:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
+from . import _graph
 from .digraph import (
     DEFAULT_CAP,
     Digraph,
@@ -31,7 +32,7 @@ from .digraph import (
     is_homomorphism,
 )
 from .errors import InvalidFold, NotAHomomorphism
-from .homcomplex import hom_one_skeleton, hom_poset
+from .homcomplex import hom_poset
 
 
 def all_folds(g: Digraph) -> list[tuple[int, int]]:
@@ -69,23 +70,31 @@ def is_stiff(g: Digraph) -> bool:
     return find_fold(g) is None
 
 
+def _fold_to_stiff(g: Digraph) -> tuple[list[tuple[int, int]], Digraph]:
+    """The folds :func:`stiff_reduction` takes, in order, and its result."""
+    trace = []
+    while (f := find_fold(g)) is not None:
+        trace.append(f)
+        g = fold(g, *f)
+    return trace, g
+
+
 def stiff_reduction(g: Digraph) -> Digraph:
     """Fold until stiff, always taking the lexicographically first fold.
 
     The result is independent of the fold order up to isomorphism, so this
     deterministic policy is just a convenient normal form.
     """
-    while True:
-        f = find_fold(g)
-        if f is None:
-            return g
-        g = fold(g, *f)
+    return _fold_to_stiff(g)[1]
+
+
+def _is_looped_point(r: Digraph) -> bool:
+    return r.n == 1 and r.has_loop(0)
 
 
 def is_dismantlable(g: Digraph) -> bool:
     """True when the stiff reduction is a single looped vertex."""
-    r = stiff_reduction(g)
-    return r.n == 1 and r.has_loop(0)
+    return _is_looped_point(stiff_reduction(g))
 
 
 # ---------------------------------------------------------------------------
@@ -103,32 +112,16 @@ def _require_hom(f: VertexMap, g: Digraph, h: Digraph) -> None:
         raise NotAHomomorphism(f"{f!r} is not a homomorphism")
 
 
-def _reachable(
-    adj: Sequence[Sequence[int]], start: int
-) -> set[int]:
-    seen = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
-
-
 class _HomRelations:
-    """Shared setup for the three relations: the hom list and its arrows."""
+    """The homomorphisms ``g -> h`` and the arrows between them, built once
+    and then queried for any of the three relations."""
 
     def __init__(self, g: Digraph, h: Digraph):
+        self.source, self.target = g, h
         self.maps = enumerate_homomorphisms(g, h)
         self.index = {f: i for i, f in enumerate(self.maps)}
         n = len(self.maps)
-        arrows = [[False] * n for _ in range(n)]
-        for i, f in enumerate(self.maps):
-            for j, f2 in enumerate(self.maps):
-                arrows[i][j] = _hom_arrow(f, f2, g, h)
-        self.arrow = arrows
+        arrows = [[_hom_arrow(f, f2, g, h) for f2 in self.maps] for f in self.maps]
         self.di_adj = [
             [j for j in range(n) if arrows[i][j] and i != j] for i in range(n)
         ]
@@ -136,49 +129,43 @@ class _HomRelations:
             [j for j in self.di_adj[i] if arrows[j][i]] for i in range(n)
         ]
         self.line_adj = [
-            sorted(
-                j
-                for j in range(n)
-                if j != i and (arrows[i][j] or arrows[j][i])
-            )
+            [j for j in range(n) if j != i and (arrows[i][j] or arrows[j][i])]
             for i in range(n)
         ]
+
+    def _joined(self, adj: list[list[int]], f: VertexMap, g: VertexMap) -> bool:
+        for m in (f, g):
+            _require_hom(m, self.source, self.target)
+        return _graph.bfs_distances(adj, self.index[f])[self.index[g]] >= 0
+
+    def bihomotopic(self, f: VertexMap, g: VertexMap) -> bool:
+        return self._joined(self.bi_adj, f, g)
+
+    def dihomotopic(self, f: VertexMap, g: VertexMap) -> bool:
+        return self._joined(self.di_adj, f, g)
+
+    def line_homotopic(self, f: VertexMap, g: VertexMap) -> bool:
+        return self._joined(self.line_adj, f, g)
 
 
 def bihomotopic(f: VertexMap, g: VertexMap, source: Digraph, target: Digraph) -> bool:
     """Are ``f`` and ``g`` joined by a path of mutual arrows?
 
-    Cross-checked against connectivity in the hom complex's one-skeleton;
-    the two computations agree because multiple assignment entries can be
-    exchanged one vertex at a time.
+    This is the same as lying in one component of the hom complex's
+    one-skeleton, because multiple assignment entries can be exchanged one
+    vertex at a time; the test suite checks the two against each other.
     """
-    for m in (f, g):
-        _require_hom(m, source, target)
-    rel = _HomRelations(source, target)
-    i, j = rel.index[f], rel.index[g]
-    connected = j in _reachable(rel.bi_adj, i)
-    skeleton = hom_one_skeleton(source, target)
-    si, sj = skeleton.index(f), skeleton.index(g)
-    comp = next(c for c in skeleton.components() if si in c)
-    if connected != (sj in comp):
-        raise RuntimeError("bidirected reachability disagrees with the one-skeleton")
-    return connected
+    return _HomRelations(source, target).bihomotopic(f, g)
 
 
 def dihomotopic(f: VertexMap, g: VertexMap, source: Digraph, target: Digraph) -> bool:
     """Is there a directed arrow path from ``f`` to ``g``?  Not symmetric."""
-    for m in (f, g):
-        _require_hom(m, source, target)
-    rel = _HomRelations(source, target)
-    return rel.index[g] in _reachable(rel.di_adj, rel.index[f])
+    return _HomRelations(source, target).dihomotopic(f, g)
 
 
 def line_homotopic(f: VertexMap, g: VertexMap, source: Digraph, target: Digraph) -> bool:
     """Are ``f`` and ``g`` joined by a path of arrows ignoring direction?"""
-    for m in (f, g):
-        _require_hom(m, source, target)
-    rel = _HomRelations(source, target)
-    return rel.index[g] in _reachable(rel.line_adj, rel.index[f])
+    return _HomRelations(source, target).line_homotopic(f, g)
 
 
 class HomotopyClasses:
@@ -222,25 +209,18 @@ def homotopy_classes(
     if relation not in ("bi", "di", "line"):
         raise ValueError(f"unknown relation {relation!r}")
     rel = _HomRelations(source, target)
-    n = len(rel.maps)
     adj = rel.bi_adj if relation == "bi" else rel.line_adj
-    seen = [False] * n
-    classes = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        comp = _reachable(adj, root)
-        for i in comp:
-            seen[i] = True
-        classes.append(frozenset(rel.maps[i] for i in comp))
-    classes.sort(key=lambda c: min(f.image for f in c))
+    # Components come in order of their least index, and the maps are in
+    # lexicographic order, so the classes are sorted by their least map.
+    classes = [frozenset(rel.maps[i] for i in c) for c in _graph.components(adj)]
     preorder = None
     if relation == "di":
-        pairs = []
-        for i in range(n):
-            for j in sorted(_reachable(rel.di_adj, i)):
-                pairs.append((rel.maps[i], rel.maps[j]))
-        preorder = tuple(pairs)
+        preorder = tuple(
+            (f, rel.maps[j])
+            for i, f in enumerate(rel.maps)
+            for j, d in enumerate(_graph.bfs_distances(rel.di_adj, i))
+            if d >= 0
+        )
     return HomotopyClasses(relation, tuple(classes), preorder)
 
 

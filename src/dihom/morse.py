@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
+from . import _graph
 from .complexes import Poset, SimplicialComplex
 from .constructions import transitive_tournament
 from .digraph import DEFAULT_CAP, Digraph
@@ -103,47 +104,18 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
             succ[i].append(j)
         else:
             succ[j].append(i)
-    state = bytearray(len(elements))  # 0 new, 1 active, 2 done
-    for root in range(len(elements)):
-        if state[root]:
-            continue
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(succ[root]))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if state[w] == 1:
-                    return False
-                if state[w] == 0:
-                    state[w] = 1
-                    stack.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return True
+    return _graph.topological_order(succ) is not None
 
 
 def _peel_levels(g: Digraph) -> list[int]:
     """Longest-path-from-vertex levels of a DAG (sinks are level 0)."""
-    order: list[int] = []
-    indeg = [0] * g.n  # in-degree in the reversed graph = out-degree
-    for v in range(g.n):
-        indeg[v] = g.out_degree(v)
-    todo = [v for v in range(g.n) if indeg[v] == 0]
-    level = [0] * g.n
-    while todo:
-        v = todo.pop()
-        order.append(v)
-        for u in g.in_neighbors(v):
-            level[u] = max(level[u], level[v] + 1)
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                todo.append(u)
-    if len(order) != g.n:
+    succ = [list(g.out_neighbors(v)) for v in range(g.n)]
+    order = _graph.topological_order(succ)
+    if order is None:
         raise NotAcyclic("digraph has a directed cycle")
+    level = [0] * g.n
+    for v in reversed(order):
+        level[v] = max((level[w] + 1 for w in succ[v]), default=0)
     return level
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import dihom
 from dihom import (
     Digraph,
     ParseError,
@@ -224,6 +225,22 @@ class TestRunHomotopy:
         g, h = homotopy_witness_pair()
         src, dst = graph_file(g), graph_file(h)
         assert run(["homotopy", src, dst, "zero,one", "3,2"]) == 1
+
+    def test_homomorphisms_are_enumerated_once(self, capsys, graph_file, monkeypatch):
+        # hom_one_skeleton enumerates as well, so one call also rules it out.
+        calls = []
+        for module in (dihom.homcomplex, dihom.homotopy):
+            original = module.enumerate_homomorphisms
+
+            def counted(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "enumerate_homomorphisms", counted)
+        g, h = homotopy_witness_pair()
+        src, dst = graph_file(g), graph_file(h)
+        run_json(capsys, "homotopy", src, dst, "0,1", "3,2")
+        assert len(calls) == 1
 
 
 class TestRunCatalogues:

@@ -230,6 +230,7 @@ class TestOneSkeleton:
         # steps, so the skeleton is one circle rather than several.
         dist = sk.bfs_distances(0)
         assert max(dist) == 7
+        assert sk.components() == [list(range(15))]
 
     def test_loops_can_disconnect_the_skeleton(self):
         g = Digraph(1, [(0, 0)])

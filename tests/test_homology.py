@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +15,19 @@ from dihom import (
     empty_complex,
     face_poset,
     full_simplex,
+    hom_poset,
     homology_of_poset,
     is_n_leray,
+    order_complex,
+    out_neighborhood_complex,
     reduced_homology,
     simplex_boundary,
     smith_normal_form,
     sphere_homology,
     void_complex,
 )
+
+from conftest import random_digraph
 
 
 def invariant_factors_via_minors(matrix: list[list[int]]) -> tuple[int, ...]:
@@ -165,6 +171,17 @@ class TestReducedHomology:
         assert reduced_homology(x) == HomologyGroups({0: 1, 1: 2}, {})
 
 
+def assert_boundary_squares_to_zero(cc: ChainComplex) -> None:
+    for d in cc.dimensions():
+        upper = cc.boundary_sparse(d)  # rows: (d-1)-faces, columns: d-faces
+        product: dict[tuple[int, int], int] = {}
+        for r2, row in cc.boundary_sparse(d - 1).items():
+            for r, s2 in row.items():
+                for j, s in upper.get(r, {}).items():
+                    product[r2, j] = product.get((r2, j), 0) + s2 * s
+        assert not any(product.values()), f"boundary of boundary nonzero in degree {d}"
+
+
 class TestChainComplex:
     def test_boundary_matrix_shapes(self):
         cc = ChainComplex(simplex_boundary(2))
@@ -185,6 +202,21 @@ class TestChainComplex:
         for i in range(rows):
             for j in range(cols):
                 assert sum(d1[i][k] * d2[k][j] for k in range(inner)) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_boundary_squares_to_zero_on_small_hom_posets(self, seed):
+        rng = random.Random(seed)
+        p = hom_poset(random_digraph(rng, 2, 0.5), random_digraph(rng, 4, 0.5))
+        if len(p) > 40:
+            return
+        assert_boundary_squares_to_zero(ChainComplex(order_complex(p.as_poset())))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_boundary_squares_to_zero_on_out_neighborhood_complexes(self, seed):
+        g = random_digraph(random.Random(seed), 6, 0.45)
+        assert_boundary_squares_to_zero(ChainComplex(out_neighborhood_complex(g)))
 
 
 class TestPosetHomology:

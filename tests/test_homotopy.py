@@ -15,6 +15,7 @@ from dihom import (
     enumerate_homomorphisms,
     find_fold,
     fold,
+    hom_one_skeleton,
     homotopy_classes,
     homotopy_witness_pair,
     is_dismantlable,
@@ -214,6 +215,28 @@ class TestRelationImplications:
                     if dihomotopic(f, m, g, h):
                         assert line_homotopic(f, m, g, h)
         assert checked >= 3
+
+
+class TestBihomotopyMatchesSkeleton:
+    def test_same_component_of_the_one_skeleton(self, rng):
+        checked = 0
+        for _ in range(40):
+            g = random_digraph(rng, 3, p=0.4)
+            h = random_digraph(rng, 4, p=0.55)
+            maps = enumerate_homomorphisms(g, h)
+            if not 2 <= len(maps) <= 12:
+                continue
+            checked += 1
+            skeleton = hom_one_skeleton(g, h)
+            component = {
+                skeleton.maps[i]: k
+                for k, comp in enumerate(skeleton.components())
+                for i in comp
+            }
+            for f in maps:
+                for m in maps:
+                    assert bihomotopic(f, m, g, h) == (component[f] == component[m])
+        assert checked >= 10
 
 
 class TestDismantlabilityCheck:

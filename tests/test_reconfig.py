@@ -7,6 +7,7 @@ from dihom import (
     Disconnected,
     EmptyHom,
     HasLoop,
+    MultiHom,
     NotAHomomorphism,
     SizeCapExceeded,
     VertexMap,
@@ -16,6 +17,7 @@ from dihom import (
     has_homomorphism,
     is_connected_hom,
     is_homomorphism,
+    is_multihom,
     meet_path,
     oriented_chromatic_number,
     transitive_tournament,
@@ -93,6 +95,10 @@ class TestMeetPath:
                 assert is_homomorphism(step, g, target)
             for a, b in zip(path, path[1:]):
                 assert hamming(a, b) == 1
+                # The doubled cell between the two steps is a cell of the
+                # hom complex, so each step is an edge of its one-skeleton.
+                doubled = MultiHom([{x, y} for x, y in zip(a.image, b.image)])
+                assert is_multihom(doubled, g, target)
         assert runs >= 10
 
 
