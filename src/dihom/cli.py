@@ -208,7 +208,7 @@ def _cmd_hom(ns: argparse.Namespace) -> Any:
         "dimension_census": [[d, c] for d, c in census],
         "euler_characteristic": p.euler_characteristic(),
         "homomorphisms": len(p.minimal_cells()),
-        "connected": p.is_connected() if len(p) else False,
+        "connected": p.is_connected(),
     }
     if 0 < len(p) <= _HOMOLOGY_CELL_LIMIT:
         out["homology"] = _homology_json(homology_of_poset(p, ns.cap))

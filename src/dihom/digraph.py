@@ -13,6 +13,7 @@ objects.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -250,13 +251,8 @@ def exponential(h: Digraph, g: Digraph, cap: int = DEFAULT_CAP) -> Digraph:
         raise SizeCapExceeded(
             f"exponential would have {count} vertices (limit {MAX_VERTICES})"
         )
-    maps = [VertexMap(img) for img in itertools.product(range(h.n), repeat=g.n)]
-    gedges = list(g.edges)
-    edges = []
-    for i, f in enumerate(maps):
-        for j, f2 in enumerate(maps):
-            if all(h.has_edge(f(v), f2(w)) for (v, w) in gedges):
-                edges.append((i, j))
+    maps = exponential_maps(h, g)
+    edges = [(i, j) for i, succ in enumerate(_arrows(g, h, maps)) for j in succ]
     return Digraph(count, edges)
 
 
@@ -336,45 +332,94 @@ def is_homomorphism(f: VertexMap, g: Digraph, h: Digraph) -> bool:
 
 def enumerate_homomorphisms(g: Digraph, h: Digraph) -> list[VertexMap]:
     """All homomorphisms ``g -> h`` in lexicographic image order."""
-    result: list[VertexMap] = []
-    _hom_search(g, h, [0] * g.n, 0, result, find_all=True)
-    return result
+    return [
+        VertexMap(m.bit_length() - 1 for m in cell)
+        for cell in _multihoms(g, h, max_dim=0)
+    ]
 
 
 def has_homomorphism(g: Digraph, h: Digraph) -> bool:
     """Early-exit existence test for a homomorphism ``g -> h``."""
-    return _hom_search(g, h, [0] * g.n, 0, [], find_all=False)
+    return bool(_multihoms(g, h, max_dim=0, limit=1))
 
 
-def _hom_search(
-    g: Digraph,
-    h: Digraph,
-    image: list[int],
-    v: int,
-    out: list[VertexMap],
-    find_all: bool,
-) -> bool:
-    if v == g.n:
-        out.append(VertexMap(image))
-        return True
-    for t in range(h.n):
-        ok = True
-        for u in _bits(g.in_mask(v) & ((1 << v) - 1)):
-            if not h.has_edge(image[u], t):
-                ok = False
-                break
-        if ok:
-            for u in _bits(g.out_mask(v) & ((1 << v) - 1)):
-                if not h.has_edge(t, image[u]):
-                    ok = False
-                    break
-        if ok and g.has_edge(v, v) and not h.has_edge(t, t):
-            ok = False
-        if ok:
-            image[v] = t
-            if _hom_search(g, h, image, v + 1, out, find_all) and not find_all:
-                return True
-    return bool(out)
+def _multihoms(
+    g: Digraph, h: Digraph, max_dim: int | None = None, limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """Per-vertex target masks of the multihomomorphisms ``g -> h`` of
+    dimension at most ``max_dim``, stopping after ``limit`` cells.
+
+    Backtracks vertex by vertex, restricting each assignment set to the
+    common neighborhoods of the already-assigned neighbors.  Subsets come in
+    increasing mask order, so the 0-cells come out in lexicographic order.
+    """
+    n = g.n
+    full = (1 << h.n) - 1
+    looped = _mask_of(t for t in range(h.n) if h._out[t] >> t & 1)
+    co = functools.cache(lambda mask: _common(h._out, mask, full))
+    ci = functools.cache(lambda mask: _common(h._in, mask, full))
+    in_masks = [g._in[v] & ((1 << v) - 1) for v in range(n)]
+    out_masks = [g._out[v] & ((1 << v) - 1) for v in range(n)]
+    loops = [bool(g._out[v] >> v & 1) for v in range(n)]
+    stop = float("inf") if limit is None else limit
+    cells: list[tuple[int, ...]] = []
+    masks = [0] * n
+
+    def rec(v: int, budget: int) -> bool:
+        """Extend the first ``v`` assignments; True once ``limit`` is hit."""
+        if v == n:
+            cells.append(tuple(masks))
+            return len(cells) >= stop
+        allowed = looped if loops[v] else full
+        for u in _bits(in_masks[v]):
+            allowed &= co(masks[u])
+        for u in _bits(out_masks[v]):
+            allowed &= ci(masks[u])
+        if budget == 0:
+            for t in _bits(allowed):
+                masks[v] = 1 << t
+                if rec(v + 1, 0):
+                    return True
+            return False
+        s = 0
+        while s := (s - allowed) & allowed:
+            d = s.bit_count() - 1
+            if d <= budget and (not loops[v] or s & ~co(s) == 0):
+                masks[v] = s
+                if rec(v + 1, budget - d):
+                    return True
+        return False
+
+    rec(0, n * h.n if max_dim is None else max_dim)
+    return cells
+
+
+def _common(nbrs: Sequence[int], mask: int, full: int) -> int:
+    """The intersection of ``full`` and ``nbrs[x]`` over the bits of ``mask``."""
+    for x in _bits(mask):
+        full &= nbrs[x]
+    return full
+
+
+def _arrows(g: Digraph, h: Digraph, maps: Sequence[VertexMap]) -> list[list[int]]:
+    """Successor lists of the arrows of ``h ** g`` among ``maps``.
+
+    ``f -> f2`` when ``(f(v), f2(w))`` is an edge of ``h`` for every edge
+    ``(v, w)`` of ``g``.  Each map is packed as one bit per (vertex, value)
+    and each map's reach as, at every vertex ``w``, the common
+    out-neighborhood of its values on the in-neighbors of ``w``; an arrow is
+    then one mask test.
+    """
+    hn, full = h.n, (1 << h.n) - 1
+    packed = [sum(1 << (w * hn + t) for w, t in enumerate(f.image)) for f in maps]
+    succ = []
+    for f in maps:
+        reach = 0
+        for w in range(g.n):
+            values = _mask_of(f.image[v] for v in _bits(g._in[w]))
+            reach |= _common(h._out, values, full) << (w * hn)
+        succ.append([j for j, p in enumerate(packed) if not p & ~reach])
+    return succ
 
 
 def contains_bipartite(g: Digraph, m: int, n: int) -> bool:

@@ -30,7 +30,7 @@ from .digraph import (
     Digraph,
     VertexMap,
     _bits,
-    enumerate_homomorphisms,
+    _multihoms,
 )
 from .errors import EmptyComplex, InvalidRange, ShapeMismatch, SizeCapExceeded
 
@@ -239,7 +239,8 @@ class HomPoset:
         return [[self.cells[i] for i in c] for c in _graph.components(adj)]
 
     def is_connected(self) -> bool:
-        return len(self.cells) > 0 and len(self.components()) == 1
+        # A complex is connected exactly when its one-skeleton is.
+        return _skeleton(c.masks for c in self.cells).is_connected()
 
     def as_poset(self) -> Poset:
         covers = [
@@ -258,59 +259,10 @@ def hom_poset(g: Digraph, h: Digraph, cap: int = DEFAULT_CAP) -> HomPoset:
     common neighborhoods imposed by the already-assigned neighbors.  Raises
     :class:`SizeCapExceeded` after ``cap`` cells.
     """
-    n = g.n
-    full = (1 << h.n) - 1
-    common_out: dict[int, int] = {}
-    common_in: dict[int, int] = {}
-
-    def co(mask: int) -> int:
-        r = common_out.get(mask)
-        if r is None:
-            r = full
-            for x in _bits(mask):
-                r &= h.out_mask(x)
-            common_out[mask] = r
-        return r
-
-    def ci(mask: int) -> int:
-        r = common_in.get(mask)
-        if r is None:
-            r = full
-            for x in _bits(mask):
-                r &= h.in_mask(x)
-            common_in[mask] = r
-        return r
-
-    in_masks = [g.in_mask(v) & ((1 << v) - 1) for v in range(n)]
-    out_masks = [g.out_mask(v) & ((1 << v) - 1) for v in range(n)]
-    loops = [g.has_edge(v, v) for v in range(n)]
-    cells: list[MultiHom] = []
-    masks: list[int] = [0] * n
-
-    def rec(v: int) -> None:
-        if v == n:
-            if len(cells) >= cap:
-                raise SizeCapExceeded(f"hom poset exceeds cap of {cap} cells")
-            cells.append(MultiHom._from_masks(tuple(masks)))
-            return
-        allowed = full
-        for u in _bits(in_masks[v]):
-            allowed &= co(masks[u])
-        for u in _bits(out_masks[v]):
-            allowed &= ci(masks[u])
-        s = allowed
-        while s:
-            if not loops[v] or s & ~co(s) == 0:
-                masks[v] = s
-                rec(v + 1)
-            s = (s - 1) & allowed
-        masks[v] = 0
-
-    if n == 0:
-        # One empty cell: the unique map from the empty digraph.
-        return HomPoset(g, h, [MultiHom._from_masks(())])
-    rec(0)
-    return HomPoset(g, h, cells)
+    cells = _multihoms(g, h, limit=max(cap, 0) + 1)
+    if len(cells) > max(cap, 0):
+        raise SizeCapExceeded(f"hom poset exceeds cap of {cap} cells")
+    return HomPoset(g, h, map(MultiHom._from_masks, cells))
 
 
 class HomSkeleton:
@@ -366,24 +318,28 @@ class HomSkeleton:
 
 def hom_one_skeleton(g: Digraph, h: Digraph) -> HomSkeleton:
     """Vertices and edges of the homomorphism complex of ``(g, h)``."""
-    maps = enumerate_homomorphisms(g, h)
-    index = {f: i for i, f in enumerate(maps)}
+    return _skeleton(_multihoms(g, h, max_dim=1))
+
+
+def _skeleton(cells: Iterable[tuple[int, ...]]) -> HomSkeleton:
+    """The one-skeleton of a downward-closed set of cells (mask tuples):
+    each 1-cell, one doubled assignment, joins the 0-cells taking its low
+    and its high bit there."""
+    index: dict[tuple[int, ...], int] = {}
+    doubled = []
+    for c in cells:
+        dim = sum(map(int.bit_count, c)) - len(c)
+        if dim == 0:
+            index[c] = len(index)
+        elif dim == 1:
+            doubled.append(c)
     edges = []
-    for i, f in enumerate(maps):
-        for v in range(g.n):
-            fv = f.image[v]
-            for t in range(fv + 1, h.n):
-                other = index.get(VertexMap(f.image[:v] + (t,) + f.image[v + 1 :]))
-                if other is None:
-                    continue
-                doubled = MultiHom._from_masks(
-                    tuple(
-                        (1 << x) if u != v else (1 << fv | 1 << t)
-                        for u, x in enumerate(f.image)
-                    )
-                )
-                if is_multihom(doubled, g, h):
-                    edges.append((i, other))
+    for c in doubled:
+        v = next(v for v, m in enumerate(c) if m & (m - 1))
+        low = c[v] & -c[v]
+        i, j = (index[c[:v] + (b,) + c[v + 1 :]] for b in (low, c[v] ^ low))
+        edges.append((i, j))
+    maps = [VertexMap(m.bit_length() - 1 for m in c) for c in index]
     return HomSkeleton(maps, edges)
 
 

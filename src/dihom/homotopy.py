@@ -27,6 +27,7 @@ from .digraph import (
     DEFAULT_CAP,
     Digraph,
     VertexMap,
+    _arrows,
     enumerate_homomorphisms,
     induced_subgraph,
     is_homomorphism,
@@ -102,11 +103,6 @@ def is_dismantlable(g: Digraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _hom_arrow(f: VertexMap, g: VertexMap, source: Digraph, target: Digraph) -> bool:
-    """Arrow ``f -> g`` in the exponential digraph restricted to Hom."""
-    return all(target.has_edge(f(v), g(w)) for (v, w) in source.edges)
-
-
 def _require_hom(f: VertexMap, g: Digraph, h: Digraph) -> None:
     if not is_homomorphism(f, g, h):
         raise NotAHomomorphism(f"{f!r} is not a homomorphism")
@@ -120,18 +116,16 @@ class _HomRelations:
         self.source, self.target = g, h
         self.maps = enumerate_homomorphisms(g, h)
         self.index = {f: i for i, f in enumerate(self.maps)}
-        n = len(self.maps)
-        arrows = [[_hom_arrow(f, f2, g, h) for f2 in self.maps] for f in self.maps]
-        self.di_adj = [
-            [j for j in range(n) if arrows[i][j] and i != j] for i in range(n)
-        ]
-        self.bi_adj = [
-            [j for j in self.di_adj[i] if arrows[j][i]] for i in range(n)
-        ]
-        self.line_adj = [
-            [j for j in range(n) if j != i and (arrows[i][j] or arrows[j][i])]
-            for i in range(n)
-        ]
+        # Every homomorphism has an arrow to itself; such loops change no
+        # reachability, so the adjacency lists keep them.
+        succ = _arrows(g, h, self.maps)
+        pred: list[list[int]] = [[] for _ in succ]
+        for i, js in enumerate(succ):
+            for j in js:
+                pred[j].append(i)
+        self.di_adj = succ
+        self.bi_adj = [sorted(set(s).intersection(p)) for s, p in zip(succ, pred)]
+        self.line_adj = [sorted(set(s).union(p)) for s, p in zip(succ, pred)]
 
     def _joined(self, adj: list[list[int]], f: VertexMap, g: VertexMap) -> bool:
         for m in (f, g):

@@ -11,6 +11,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example
+from hypothesis import strategies as st
 
 from dihom import Digraph, VertexMap
 
@@ -27,6 +29,35 @@ def brute_force_homs(g: Digraph, h: Digraph) -> list[VertexMap]:
         if all(h.has_edge(image[u], image[v]) for (u, v) in g.edges):
             found.append(VertexMap(image))
     return found
+
+
+def digraphs(max_n: int) -> st.SearchStrategy[Digraph]:
+    """Digraphs on 0 .. max_n vertices with arbitrary arcs, loops included."""
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.builds(
+            Digraph,
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n)
+            if n
+            else st.just([]),
+        )
+    )
+
+
+def edge_cases(test):
+    """Pin source/target pairs that random draws may miss: loops on both
+    sides, a 0-vertex source, an edgeless target, two edgeless graphs."""
+    for pair in (
+        (
+            Digraph(2, [(0, 0), (0, 1)]),
+            Digraph(3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 2)]),
+        ),
+        (Digraph(0), Digraph(2, [(0, 1), (1, 1)])),
+        (Digraph(2, [(0, 1)]), Digraph(3)),
+        (Digraph(2), Digraph(2)),
+    ):
+        test = example(*pair)(test)
+    return test
 
 
 def random_digraph(rng: random.Random, n: int, p: float = 0.4, loops: bool = True) -> Digraph:

@@ -9,6 +9,7 @@ from dihom import (
     Digraph,
     ParseError,
     directed_cycle,
+    directed_path,
     homotopy_witness_pair,
     transitive_tournament,
 )
@@ -136,6 +137,21 @@ class TestRunHom:
         assert out["connected"] is False
         assert out["homology"] is None
 
+    def test_covers_are_built_once(self, capsys, graph_file, monkeypatch):
+        calls = []
+        original = dihom.HomPoset.covering_index_pairs
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(dihom.HomPoset, "covering_index_pairs", counted)
+        src = graph_file(directed_path(3))
+        dst = graph_file(transitive_tournament(5))
+        out = run_json(capsys, "hom", src, dst)
+        assert out["homology"] == []
+        assert len(calls) == 1
+
     def test_cap_exceeded_is_a_domain_error(self, capsys, graph_file):
         src = graph_file(transitive_tournament(2))
         dst = graph_file(transitive_tournament(4))
@@ -227,20 +243,21 @@ class TestRunHomotopy:
         assert run(["homotopy", src, dst, "zero,one", "3,2"]) == 1
 
     def test_homomorphisms_are_enumerated_once(self, capsys, graph_file, monkeypatch):
-        # hom_one_skeleton enumerates as well, so one call also rules it out.
+        # Every hom search goes through _multihoms; hom_one_skeleton asks it
+        # for 1-cells, so a single 0-cell search also rules the skeleton out.
         calls = []
-        for module in (dihom.homcomplex, dihom.homotopy):
-            original = module.enumerate_homomorphisms
+        for module in (dihom.digraph, dihom.homcomplex):
+            original = module._multihoms
 
-            def counted(*args, _original=original):
-                calls.append(args)
-                return _original(*args)
+            def counted(*args, _original=original, **kwargs):
+                calls.append(kwargs)
+                return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "enumerate_homomorphisms", counted)
+            monkeypatch.setattr(module, "_multihoms", counted)
         g, h = homotopy_witness_pair()
         src, dst = graph_file(g), graph_file(h)
         run_json(capsys, "homotopy", src, dst, "0,1", "3,2")
-        assert len(calls) == 1
+        assert calls == [{"max_dim": 0}]
 
 
 class TestRunCatalogues:

@@ -5,13 +5,13 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dihom import (
     Digraph,
     InvalidRange,
     InvalidVertex,
     MalformedPartition,
+    MultiHom,
     ShapeMismatch,
     SizeCapExceeded,
     VertexMap,
@@ -26,27 +26,34 @@ from dihom import (
     has_homomorphism,
     induced_subgraph,
     is_homomorphism,
+    is_multihom,
     looped_part,
     product,
     quotient,
     transitive_tournament,
     underlying_symmetrization,
 )
-from conftest import brute_force_homs, random_digraph
+from dihom.digraph import _arrows, _multihoms
+from conftest import brute_force_homs, digraphs, edge_cases, random_digraph
 
 
-small_digraphs = st.integers(min_value=0, max_value=3).flatmap(
-    lambda n: st.builds(
-        Digraph,
-        st.just(n),
-        st.lists(
-            st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
-            max_size=n * n,
+small_digraphs = digraphs(3)
+
+
+def brute_force_cells(g: Digraph, h: Digraph) -> list[tuple[int, ...]]:
+    """Mask tuples of every multihomomorphism, in lexicographic order, found
+    by trying all assignments of nonempty target sets."""
+    return [
+        masks
+        for masks in itertools.product(range(1, 1 << h.n), repeat=g.n)
+        if is_multihom(
+            MultiHom([t for t in range(h.n) if m >> t & 1] for m in masks), g, h
         )
-        if n
-        else st.just([]),
-    )
-)
+    ]
+
+
+def dimension(masks: tuple[int, ...]) -> int:
+    return sum(bin(m).count("1") - 1 for m in masks)
 
 
 class TestDigraph:
@@ -243,6 +250,44 @@ class TestHomomorphisms:
 
     def test_cycle_to_tournament_has_no_hom(self):
         assert not has_homomorphism(directed_cycle(3), transitive_tournament(5))
+
+
+class TestMultihomSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(small_digraphs, small_digraphs)
+    @edge_cases
+    def test_cells_match_brute_force(self, g, h):
+        every = brute_force_cells(g, h)
+        for max_dim in (0, 1, None):
+            expected = [c for c in every if max_dim is None or dimension(c) <= max_dim]
+            assert sorted(_multihoms(g, h, max_dim=max_dim)) == expected
+        # The 0-cells come out in lexicographic order already.
+        homs = [c for c in every if dimension(c) == 0]
+        assert _multihoms(g, h, max_dim=0) == homs
+        assert has_homomorphism(g, h) == bool(homs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_digraphs, small_digraphs)
+    @edge_cases
+    def test_limit_stops_early(self, g, h):
+        cells = _multihoms(g, h)
+        for limit in {1, 2, len(cells) // 2 + 1, len(cells), len(cells) + 1}:
+            assert _multihoms(g, h, limit=limit) == cells[:limit]
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_digraphs, small_digraphs)
+    @edge_cases
+    def test_arrows_match_the_pairwise_rule(self, g, h):
+        maps = exponential_maps(h, g)
+        expected = [
+            [
+                j
+                for j, f2 in enumerate(maps)
+                if all(h.has_edge(f(v), f2(w)) for v, w in g.edges)
+            ]
+            for f in maps
+        ]
+        assert _arrows(g, h, maps) == expected
 
 
 class TestBipartiteDetection:

@@ -1,8 +1,10 @@
 """Tests for multihomomorphism cells, hom posets, and their certificates."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from dihom import (
     Digraph,
@@ -29,7 +31,14 @@ from dihom import (
     transitive_tournament,
 )
 
-from conftest import nbd_example_digraph, pentagon_tournament, random_digraph
+from conftest import (
+    brute_force_homs,
+    digraphs,
+    edge_cases,
+    nbd_example_digraph,
+    pentagon_tournament,
+    random_digraph,
+)
 
 
 class TestMultiHom:
@@ -189,6 +198,28 @@ class TestHomPoset:
         with pytest.raises(SizeCapExceeded):
             hom_poset(transitive_tournament(2), transitive_tournament(6), cap=100)
 
+    @pytest.mark.parametrize("cap", [0, -1, -10])
+    def test_cap_below_one_raises_at_the_first_cell(self, cap):
+        with pytest.raises(SizeCapExceeded):
+            hom_poset(transitive_tournament(2), transitive_tournament(4), cap=cap)
+        with pytest.raises(SizeCapExceeded):
+            hom_poset(Digraph(0), transitive_tournament(3), cap=cap)
+        # An empty poset never reaches a first cell.
+        assert len(hom_poset(directed_cycle(3), transitive_tournament(4), cap=cap)) == 0
+
+    def test_exactly_cap_cells_pass(self):
+        g, h = transitive_tournament(2), transitive_tournament(4)
+        assert len(hom_poset(g, h, cap=17)) == 17
+        with pytest.raises(SizeCapExceeded):
+            hom_poset(g, h, cap=16)
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(3), digraphs(4))
+    @edge_cases
+    def test_connected_iff_one_component(self, g, h):
+        p = hom_poset(g, h)
+        assert p.is_connected() == (len(p.components()) == 1)
+
     def test_maximal_cells_of_edge_into_k4(self):
         p = hom_poset(transitive_tournament(2), transitive_tournament(4))
         tops = {c.key() for c in p.maximal_cells()}
@@ -240,6 +271,26 @@ class TestOneSkeleton:
         assert len(sk.edges) == 0
         assert not sk.is_connected()
         assert sk.components() == [[0], [1]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(3), digraphs(3))
+    @edge_cases
+    def test_matches_single_vertex_moves(self, g, h):
+        # Oracle: maps that differ at one vertex, with the doubled cell a
+        # multihom.
+        maps = brute_force_homs(g, h)
+        expected = set()
+        for (i, f), (j, f2) in itertools.combinations(enumerate(maps), 2):
+            diff = [v for v in range(g.n) if f(v) != f2(v)]
+            if len(diff) == 1:
+                doubled = MultiHom(
+                    {f(u), f2(u)} if u == diff[0] else {f(u)} for u in range(g.n)
+                )
+                if is_multihom(doubled, g, h):
+                    expected.add((i, j))
+        sk = hom_one_skeleton(g, h)
+        assert list(sk.maps) == maps
+        assert sk.edges == expected
 
     def test_bfs_distance_unreachable_is_minus_one(self):
         sk = hom_one_skeleton(Digraph(1, [(0, 0)]), Digraph(2, [(0, 0), (1, 1)]))
