@@ -350,8 +350,9 @@ def _multihoms(
     dimension at most ``max_dim``, stopping after ``limit`` cells.
 
     Backtracks vertex by vertex, restricting each assignment set to the
-    common neighborhoods of the already-assigned neighbors.  Subsets come in
-    increasing mask order, so the 0-cells come out in lexicographic order.
+    common neighborhoods of the already-assigned neighbors.  Singletons are
+    tried in increasing order, so the 0-cells come out in lexicographic
+    order.
     """
     n = g.n
     full = (1 << h.n) - 1
@@ -361,36 +362,41 @@ def _multihoms(
     in_masks = [g._in[v] & ((1 << v) - 1) for v in range(n)]
     out_masks = [g._out[v] & ((1 << v) - 1) for v in range(n)]
     loops = [bool(g._out[v] >> v & 1) for v in range(n)]
-    stop = float("inf") if limit is None else limit
     cells: list[tuple[int, ...]] = []
     masks = [0] * n
 
-    def rec(v: int, budget: int) -> bool:
-        """Extend the first ``v`` assignments; True once ``limit`` is hit."""
+    def rec(v: int, budget: int | None) -> bool:
+        """Extend the first ``v`` assignments, spending at most ``budget``
+        extra values; True once ``limit`` is hit."""
         if v == n:
             cells.append(tuple(masks))
-            return len(cells) >= stop
+            return len(cells) == limit
         allowed = looped if loops[v] else full
         for u in _bits(in_masks[v]):
             allowed &= co(masks[u])
         for u in _bits(out_masks[v]):
             allowed &= ci(masks[u])
-        if budget == 0:
-            for t in _bits(allowed):
-                masks[v] = 1 << t
-                if rec(v + 1, 0):
-                    return True
+        if budget is None:
+            s = 0
+            while s := (s - allowed) & allowed:
+                if not loops[v] or s & ~co(s) == 0:
+                    masks[v] = s
+                    if rec(v + 1, None):
+                        return True
             return False
-        s = 0
-        while s := (s - allowed) & allowed:
-            d = s.bit_count() - 1
-            if d <= budget and (not loops[v] or s & ~co(s) == 0):
-                masks[v] = s
-                if rec(v + 1, budget - d):
-                    return True
+        # Form only the sets of at most budget + 1 values: walking every
+        # subset of ``allowed`` and discarding the big ones costs 2**|allowed|.
+        values = [1 << t for t in _bits(allowed)]
+        for k in range(min(budget + 1, len(values))):
+            for subset in itertools.combinations(values, k + 1):
+                s = sum(subset)
+                if not loops[v] or s & ~co(s) == 0:
+                    masks[v] = s
+                    if rec(v + 1, budget - k):
+                        return True
         return False
 
-    rec(0, n * h.n if max_dim is None else max_dim)
+    rec(0, max_dim)
     return cells
 
 

@@ -253,12 +253,8 @@ class HomPoset:
 
 
 def hom_poset(g: Digraph, h: Digraph, cap: int = DEFAULT_CAP) -> HomPoset:
-    """Materialize the full multihomomorphism poset of ``(g, h)``.
-
-    Backtracks vertex by vertex, restricting each assignment set to the
-    common neighborhoods imposed by the already-assigned neighbors.  Raises
-    :class:`SizeCapExceeded` after ``cap`` cells.
-    """
+    """Materialize the full multihomomorphism poset of ``(g, h)``; raises
+    :class:`SizeCapExceeded` after ``cap`` cells."""
     cells = _multihoms(g, h, limit=max(cap, 0) + 1)
     if len(cells) > max(cap, 0):
         raise SizeCapExceeded(f"hom poset exceeds cap of {cap} cells")

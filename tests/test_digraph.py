@@ -258,7 +258,7 @@ class TestMultihomSearch:
     @edge_cases
     def test_cells_match_brute_force(self, g, h):
         every = brute_force_cells(g, h)
-        for max_dim in (0, 1, None):
+        for max_dim in (0, 1, 2, None):
             expected = [c for c in every if max_dim is None or dimension(c) <= max_dim]
             assert sorted(_multihoms(g, h, max_dim=max_dim)) == expected
         # The 0-cells come out in lexicographic order already.

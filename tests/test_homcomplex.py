@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from dihom import (
     Digraph,
@@ -275,6 +275,8 @@ class TestOneSkeleton:
     @settings(max_examples=80, deadline=None)
     @given(digraphs(3), digraphs(3))
     @edge_cases
+    @example(Digraph(2), transitive_tournament(24))
+    @example(Digraph(2, [(0, 1)]), transitive_tournament(24))
     def test_matches_single_vertex_moves(self, g, h):
         # Oracle: maps that differ at one vertex, with the doubled cell a
         # multihom.
@@ -291,6 +293,14 @@ class TestOneSkeleton:
         sk = hom_one_skeleton(g, h)
         assert list(sk.maps) == maps
         assert sk.edges == expected
+
+    def test_only_pairs_are_formed_in_a_large_target(self):
+        # Every two of the 64 values form a 1-cell.  A search that walked
+        # all 2**64 subsets of the target at the source vertex would never
+        # get here.
+        sk = hom_one_skeleton(Digraph(1), transitive_tournament(64))
+        assert len(sk) == 64
+        assert sk.edges == set(itertools.combinations(range(64), 2))
 
     def test_bfs_distance_unreachable_is_minus_one(self):
         sk = hom_one_skeleton(Digraph(1, [(0, 0)]), Digraph(2, [(0, 0), (1, 1)]))
