@@ -1,4 +1,5 @@
-"""Integral simplicial homology via Smith normal form.
+"""Integral homology via Smith normal form: of simplicial complexes, and of
+hom complexes through their cellular chains.
 
 Everything here is *reduced* homology of the augmented chain complex: a
 point has trivial homology everywhere, and the empty complex (whose only
@@ -16,7 +17,8 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Poset, SimplicialComplex, order_complex
-from .digraph import DEFAULT_CAP
+from .digraph import DEFAULT_CAP, _bits
+from .homcomplex import HomPoset
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
@@ -66,18 +68,19 @@ def _snf_sparse(rows: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], int]:
         for c, v in list(rows.get(src, {}).items()):
             set_entry(dst, c, rows.get(dst, {}).get(c, 0) + q * v)
 
+    # An emptied column never fills again (entries are only ever written
+    # into columns that hold an entry of the pivot row), so one pass over
+    # the columns in order finds each pivot column.
+    order = iter(sorted(cols))
+    lead = next(order, None)
     while rows:
-        # Pivot choice: prefer units, then small magnitude, then low fill.
-        best_key = None
-        pr = pc = 0
-        for r, row in rows.items():
-            rl = len(row)
-            for c, v in row.items():
-                a = abs(v)
-                key = (a != 1, a, (rl - 1) * (len(cols[c]) - 1), r, c)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    pr, pc = r, c
+        while lead not in cols:
+            lead = next(order)
+        # Pivot: the entry of least magnitude in the first live column, on
+        # the shortest row among those.
+        col = cols[lead]
+        pr = min(col, key=lambda r: (abs(col[r]), len(rows[r])))
+        pc = lead
         # Euclidean steps until the pivot divides its whole row and column.
         while True:
             v = rows[pr][pc]
@@ -265,33 +268,78 @@ class ChainComplex:
 def reduced_homology(x: SimplicialComplex) -> HomologyGroups:
     """Reduced integral homology of a simplicial complex."""
     cc = ChainComplex(x)
-    dims = cc.dimensions()
-    if not dims:
-        return HomologyGroups()
-    snf: dict[int, tuple[tuple[int, ...], int]] = {}
-    for d in dims:
-        if d - 1 in cc.faces:
-            snf[d] = _snf_sparse(cc.boundary_sparse(d))
-        else:
-            snf[d] = ((), 0)
-    ranks = {}
+    return _homology(
+        {d: cc.rank(d) for d in cc.dimensions()},
+        {d: cc.boundary_sparse(d) for d in cc.dimensions()},
+    )
+
+
+def _homology(
+    ranks: Mapping[int, int], boundaries: Mapping[int, dict[int, dict[int, int]]]
+) -> HomologyGroups:
+    """Homology of a chain complex with ``ranks[d]`` cells in degree ``d``
+    and sparse boundary matrices ``boundaries[d]`` (rows are the
+    ``(d-1)``-cells, columns the ``d``-cells; a missing degree is zero)."""
+    snf = {d: _snf_sparse(b) for d, b in boundaries.items()}
+    out = {}
     torsion = {}
-    for d in dims:
+    for d, n in ranks.items():
         factors_in, rank_in = snf.get(d + 1, ((), 0))
-        ranks[d] = cc.rank(d) - snf[d][1] - rank_in
+        out[d] = n - snf.get(d, ((), 0))[1] - rank_in
         torsion[d] = factors_in
-    return HomologyGroups(ranks, torsion)
+    return HomologyGroups(out, torsion)
 
 
-def homology_of_poset(p: Poset, cap: int = DEFAULT_CAP) -> HomologyGroups:
+def _cellular_chains(
+    cells: Iterable[tuple[int, ...]],
+) -> tuple[dict[int, int], dict[int, dict[int, dict[int, int]]]]:
+    """Cell counts and boundary matrices of the augmented cellular chain
+    complex of a hom complex, from its cells as mask tuples.
+
+    A cell is the product of one simplex per source vertex, spanned by that
+    vertex's assignment set in increasing order.  Dropping member ``x`` of
+    ``a(v)`` gives a facet with sign ``(-1)^(sum_{u<v} (|a(u)|-1) + i)``,
+    ``i`` the position of ``x`` in ``a(v)``; every 0-cell has boundary
+    ``1 * ()``, the augmentation cell in degree ``-1``.  The cell set must
+    be closed under dropping members.
+    """
+    index: dict[int, dict[tuple[int, ...], int]] = {-1: {(): 0}}
+    for c in cells:
+        level = index.setdefault(sum(map(int.bit_count, c)) - len(c), {})
+        level[c] = len(level)
+    boundaries: dict[int, dict[int, dict[int, int]]] = {}
+    if 0 in index:
+        boundaries[0] = {0: dict.fromkeys(range(len(index[0])), 1)}
+    for d, level in index.items():
+        if d < 1:
+            continue
+        lower = index[d - 1]
+        rows = boundaries[d] = {}
+        for c, j in level.items():
+            shift = 0
+            for v, m in enumerate(c):
+                if m & (m - 1):
+                    for i, x in enumerate(_bits(m), shift):
+                        face = c[:v] + (m ^ 1 << x,) + c[v + 1 :]
+                        rows.setdefault(lower[face], {})[j] = -1 if i & 1 else 1
+                    shift += m.bit_count() - 1
+    return {d: len(level) for d, level in index.items()}, boundaries
+
+
+def homology_of_poset(p: Poset | HomPoset, cap: int = DEFAULT_CAP) -> HomologyGroups:
     """Reduced homology of a poset's order complex.
 
-    Accepts anything with an ``as_poset()`` method (homomorphism posets do)
-    besides plain posets.
+    A :class:`HomPoset` is the face poset of the hom complex, so its order
+    complex is the hom complex subdivided: the homology is computed from
+    the hom complex's own cellular chains (one cell per multihomomorphism,
+    a product of simplices), and no order complex is built.  ``cap`` then
+    plays no part, since :func:`hom_poset` already bounded the cells.  A
+    plain :class:`Poset` goes through :func:`order_complex`, which raises
+    :class:`SizeCapExceeded` beyond ``cap`` chains.
     """
-    if not isinstance(p, Poset):
-        p = p.as_poset()
-    return reduced_homology(order_complex(p, cap))
+    if isinstance(p, Poset):
+        return reduced_homology(order_complex(p, cap))
+    return _homology(*_cellular_chains(c.masks for c in p.cells))
 
 
 class LerayCertificate:

@@ -236,7 +236,7 @@ def check_collapsible(g: Digraph, n: int, stats: dict) -> None:
     m = tournament_matching(g, n, poset=p)
     assert is_acyclic_matching(p, m)
     assert len(m.critical) == 1
-    if len(p) <= 100:
+    if len(p) <= 10_000:
         try:
             assert homology_of_poset(p, cap=25_000).is_trivial
             stats["homology"] += 1
@@ -260,7 +260,7 @@ def test_c04_acyclic_sources_give_collapsible_posets():
     assert counts == [1, 2, 6, 31, 302]
     assert pairs == 799
     assert stats["split"] > 0
-    assert stats["homology"] > 500
+    assert stats["homology"] > 750
 
 
 # ---------------------------------------------------------------------------

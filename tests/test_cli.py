@@ -150,7 +150,21 @@ class TestRunHom:
         dst = graph_file(transitive_tournament(5))
         out = run_json(capsys, "hom", src, dst)
         assert out["homology"] == []
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    def test_former_order_complex_blow_up_finishes(self, capsys, graph_file):
+        # 255 cells: its order complex took minutes to reduce.
+        src = graph_file(Digraph(3, [(0, 1)]))
+        dst = graph_file(transitive_tournament(4))
+        out = run_json(capsys, "hom", src, dst)
+        assert out["cells"] == 255
+        assert out["homology"] == []
+
+    def test_cap_bounds_cells_not_order_complex_chains(self, capsys, graph_file):
+        src = graph_file(Digraph(3, [(0, 1)]))
+        dst = graph_file(transitive_tournament(4))
+        out = run_json(capsys, "--cap", "300", "hom", src, dst)
+        assert out["homology"] == []
 
     def test_cap_exceeded_is_a_domain_error(self, capsys, graph_file):
         src = graph_file(transitive_tournament(2))

@@ -5,13 +5,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dihom.homology
 from dihom import (
     ChainComplex,
+    Digraph,
     HomologyGroups,
+    HomPoset,
     SimplicialComplex,
+    SizeCapExceeded,
+    directed_cycle,
     empty_complex,
     face_poset,
     full_simplex,
@@ -26,8 +31,9 @@ from dihom import (
     sphere_homology,
     void_complex,
 )
+from dihom.homology import _cellular_chains
 
-from conftest import random_digraph
+from conftest import digraphs, edge_cases, pentagon_tournament, random_digraph
 
 
 def invariant_factors_via_minors(matrix: list[list[int]]) -> tuple[int, ...]:
@@ -108,6 +114,24 @@ class TestSmithNormalForm:
         assert factors == invariant_factors_via_minors(matrix)
         assert rank == len(factors)
 
+    # Small entries make repeated pivots, zero columns and torsion common.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.integers(1, 5).flatmap(
+                lambda c: st.lists(
+                    st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+                    min_size=r,
+                    max_size=r,
+                )
+            )
+        )
+    )
+    def test_matches_minor_gcd_oracle_up_to_5x5(self, matrix):
+        factors, rank = smith_normal_form(matrix)
+        assert factors == invariant_factors_via_minors(matrix)
+        assert rank == len(factors)
+
 
 class TestHomologyGroups:
     def test_accessors(self):
@@ -172,10 +196,13 @@ class TestReducedHomology:
 
 
 def assert_boundary_squares_to_zero(cc: ChainComplex) -> None:
-    for d in cc.dimensions():
-        upper = cc.boundary_sparse(d)  # rows: (d-1)-faces, columns: d-faces
+    assert_squares_to_zero({d: cc.boundary_sparse(d) for d in cc.dimensions()})
+
+
+def assert_squares_to_zero(boundaries: dict[int, dict[int, dict[int, int]]]) -> None:
+    for d, upper in boundaries.items():  # rows: (d-1)-cells, columns: d-cells
         product: dict[tuple[int, int], int] = {}
-        for r2, row in cc.boundary_sparse(d - 1).items():
+        for r2, row in boundaries.get(d - 1, {}).items():
             for r, s2 in row.items():
                 for j, s in upper.get(r, {}).items():
                     product[r2, j] = product.get((r2, j), 0) + s2 * s
@@ -217,6 +244,46 @@ class TestChainComplex:
     def test_boundary_squares_to_zero_on_out_neighborhood_complexes(self, seed):
         g = random_digraph(random.Random(seed), 6, 0.45)
         assert_boundary_squares_to_zero(ChainComplex(out_neighborhood_complex(g)))
+
+
+class TestCellularHomology:
+    """A hom poset's homology comes from the cellular chains of the hom
+    complex; the order complex of the same poset is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(3), digraphs(4))
+    @edge_cases
+    @example(directed_cycle(3), pentagon_tournament())
+    @example(Digraph(2, [(0, 1)]), Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+    def test_matches_order_complex(self, g, h):
+        try:
+            p = hom_poset(g, h, cap=120)
+            oracle = reduced_homology(order_complex(p.as_poset(), cap=4000))
+        except SizeCapExceeded:
+            return
+        assert homology_of_poset(p) == oracle
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(3), digraphs(4))
+    @edge_cases
+    def test_boundary_squares_to_zero(self, g, h):
+        try:
+            p = hom_poset(g, h, cap=2000)
+        except SizeCapExceeded:
+            return
+        ranks, boundaries = _cellular_chains(c.masks for c in p.cells)
+        assert ranks == {-1: 1, **p.dimension_census()}
+        assert_squares_to_zero(boundaries)
+
+    def test_builds_no_covers_and_no_order_complex(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("order-complex route taken")
+
+        monkeypatch.setattr(HomPoset, "covering_index_pairs", fail)
+        monkeypatch.setattr(HomPoset, "as_poset", fail)
+        monkeypatch.setattr(dihom.homology, "order_complex", fail)
+        p = hom_poset(Digraph(2, [(0, 1)]), pentagon_tournament())
+        assert homology_of_poset(p) == sphere_homology(1)
 
 
 class TestPosetHomology:
