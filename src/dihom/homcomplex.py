@@ -100,7 +100,10 @@ class MultiHom:
         return VertexMap(m.bit_length() - 1 for m in self._masks)
 
     def key(self) -> tuple[tuple[int, ...], ...]:
-        """Deterministic sort key: per-vertex sorted member tuples."""
+        """Deterministic sort key: per-vertex sorted member tuples.
+
+        This is not the order of :attr:`HomPoset.cells`, which sorts by
+        mask tuple (``(1,)`` before ``(0, 1)``)."""
         return tuple(tuple(_bits(m)) for m in self._masks)
 
     def __eq__(self, other: object) -> bool:
@@ -144,86 +147,134 @@ class HomPoset:
     """The poset of all multihomomorphisms ``g -> h`` under pointwise
     inclusion.
 
-    The cell tuple is sorted by :meth:`MultiHom.key`, so iteration order is
-    deterministic.  Because the cell set is closed downwards, covering
-    pairs are found structurally: drop one member from one assignment set.
+    Each cell is stored as one packed int, ``w = max(h.n, 1)`` bits per
+    source vertex with vertex 0 in the most significant block, and the
+    cells are sorted by that int: lexicographic by mask tuple, which is
+    not :meth:`MultiHom.key` order (``{0, 1}`` comes after ``{1}``).  The
+    0-cells are still in lexicographic map order.  :class:`MultiHom` is
+    only the view at the boundary: :attr:`cells` is built on first use.
+    Because the cell set is closed downwards, covering pairs are found
+    structurally: clear one bit of a block that holds at least two.
     """
 
-    __slots__ = ("source", "target", "cells", "_index")
+    __slots__ = ("source", "target", "_width", "_packed", "_index", "_cells")
 
     def __init__(self, source: Digraph, target: Digraph, cells: Iterable[MultiHom]):
-        cs = tuple(sorted(cells, key=MultiHom.key))
+        n, w = source.n, max(target.n, 1)
+        packed = set()
+        for c in cells:
+            k = _pack(c, n, w)
+            if k is None:
+                raise ShapeMismatch(f"{c!r} is not a cell of {n} sets in 0..{w - 1}")
+            packed.add(k)
+        self._fill(source, target, sorted(packed))
+
+    @classmethod
+    def _from_packed(
+        cls, source: Digraph, target: Digraph, packed: list[int]
+    ) -> "HomPoset":
+        """A poset over ``packed``, which must already be strictly ascending."""
+        obj = object.__new__(cls)
+        obj._fill(source, target, packed)
+        return obj
+
+    def _fill(self, source: Digraph, target: Digraph, packed: list[int]) -> None:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "cells", cs)
-        object.__setattr__(self, "_index", {c: i for i, c in enumerate(cs)})
+        object.__setattr__(self, "_width", max(target.n, 1))
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "_index", {c: i for i, c in enumerate(packed)})
+        object.__setattr__(self, "_cells", None)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("HomPoset is immutable")
 
+    def _shifts(self) -> range:
+        """Bit offset of each source vertex's block, vertex 0 first."""
+        w = self._width
+        return range((self.source.n - 1) * w, -1, -w)
+
+    def _masks(self, packed: Iterable[int]) -> Iterator[tuple[int, ...]]:
+        """Mask tuples of the packed cells ``packed``, in order."""
+        full = (1 << self._width) - 1
+        shifts = self._shifts()
+        for c in packed:
+            yield tuple([c >> s & full for s in shifts])
+
+    def _views(self, packed: Iterable[int]) -> Iterator[MultiHom]:
+        return map(MultiHom._from_masks, self._masks(packed))
+
+    @property
+    def cells(self) -> tuple[MultiHom, ...]:
+        if self._cells is None:
+            object.__setattr__(self, "_cells", tuple(self._views(self._packed)))
+        return self._cells
+
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self._packed)
 
     def __iter__(self) -> Iterator[MultiHom]:
         return iter(self.cells)
 
-    def __contains__(self, cell: MultiHom) -> bool:
-        return cell in self._index
+    def _find(self, cell: object) -> int | None:
+        """The index of ``cell``, or ``None`` when it is not a cell here."""
+        return self._index.get(_pack(cell, self.source.n, self._width))
+
+    def __contains__(self, cell: object) -> bool:
+        return self._find(cell) is not None
 
     def index(self, cell: MultiHom) -> int:
-        return self._index[cell]
+        i = self._find(cell)
+        if i is None:
+            raise KeyError(cell)
+        return i
+
+    def _is_cover(self, i: int, j: int) -> bool:
+        """Is cell ``i`` cell ``j`` minus one member?  That is: one bit
+        apart, and ``j`` holds the bit."""
+        d = self._packed[i] ^ self._packed[j]
+        return d.bit_count() == 1 and self._packed[j] & d != 0
 
     def leq(self, a: MultiHom, b: MultiHom) -> bool:
         return a.leq(b)
 
     def minimal_cells(self) -> list[MultiHom]:
         """The honest homomorphisms (all-singleton cells)."""
-        return [c for c in self.cells if c.is_singleton()]
+        n = self.source.n
+        return list(self._views(c for c in self._packed if c.bit_count() == n))
 
     def homomorphisms(self) -> list[VertexMap]:
         return [c.singleton_map() for c in self.minimal_cells()]
 
     def maximal_cells(self) -> list[MultiHom]:
-        return [
-            c
-            for i, c in enumerate(self.cells)
-            if next(self._covers_above(i), None) is None
-        ]
-
-    def _covers_above(self, i: int) -> Iterator[int]:
-        cell = self.cells[i]
-        masks = cell.masks
-        hn = self.target.n
-        for v in range(len(masks)):
-            for x in range(hn):
-                if masks[v] >> x & 1:
-                    continue
-                bigger = MultiHom._from_masks(
-                    masks[:v] + (masks[v] | 1 << x,) + masks[v + 1 :]
-                )
-                j = self._index.get(bigger)
-                if j is not None:
-                    yield j
+        below = {i for i, _ in self.covering_index_pairs()}
+        return [c for i, c in enumerate(self.cells) if i not in below]
 
     def covering_index_pairs(self) -> list[tuple[int, int]]:
         """All covers ``(i, j)``: cell ``i`` is cell ``j`` minus one member."""
+        index = self._index
+        full = (1 << self._width) - 1
+        shifts = self._shifts()
+        n = self.source.n
         out = []
-        for j, cell in enumerate(self.cells):
-            masks = cell.masks
-            for v, m in enumerate(masks):
-                if m.bit_count() == 1:
-                    continue
-                for x in _bits(m):
-                    smaller = MultiHom._from_masks(
-                        masks[:v] + (m ^ 1 << x,) + masks[v + 1 :]
-                    )
-                    out.append((self._index[smaller], j))
+        append = out.append
+        for j, c in enumerate(self._packed):
+            if c.bit_count() == n:
+                continue
+            for s in shifts:
+                m = c >> s & full
+                if m & (m - 1):
+                    while m:
+                        low = m & -m
+                        append((index[c ^ low << s], j))
+                        m ^= low
         return out
 
     def dimension_census(self) -> dict[int, int]:
+        n = self.source.n
         census: dict[int, int] = {}
-        for c in self.cells:
-            d = c.dimension()
+        for c in self._packed:
+            d = c.bit_count() - n
             census[d] = census.get(d, 0) + 1
         return census
 
@@ -232,7 +283,7 @@ class HomPoset:
         return sum((-1) ** d * k for d, k in self.dimension_census().items())
 
     def components(self) -> list[list[MultiHom]]:
-        adj: list[list[int]] = [[] for _ in self.cells]
+        adj: list[list[int]] = [[] for _ in self._packed]
         for i, j in self.covering_index_pairs():
             adj[i].append(j)
             adj[j].append(i)
@@ -240,7 +291,9 @@ class HomPoset:
 
     def is_connected(self) -> bool:
         # A complex is connected exactly when its one-skeleton is.
-        return _skeleton(c.masks for c in self.cells).is_connected()
+        n = self.source.n
+        low = (c for c in self._packed if c.bit_count() - n <= 1)
+        return _skeleton(self._masks(low)).is_connected()
 
     def as_poset(self) -> Poset:
         covers = [
@@ -249,7 +302,22 @@ class HomPoset:
         return Poset.from_covers(self.cells, covers)
 
     def __repr__(self) -> str:
-        return f"HomPoset({len(self.cells)} cells)"
+        return f"HomPoset({len(self)} cells)"
+
+
+def _pack(cell: object, n: int, w: int) -> int | None:
+    """``cell``'s masks packed ``w`` bits apiece, vertex 0 highest, or
+    ``None`` when it cannot be one of ``n`` such blocks: not a
+    :class:`MultiHom`, the wrong length, or a member at or above ``w``
+    (which would spill into the next block)."""
+    if not isinstance(cell, MultiHom) or len(cell) != n:
+        return None
+    acc = 0
+    for m in cell.masks:
+        if m >> w:
+            return None
+        acc = acc << w | m
+    return acc
 
 
 def hom_poset(g: Digraph, h: Digraph, cap: int = DEFAULT_CAP) -> HomPoset:
@@ -258,7 +326,16 @@ def hom_poset(g: Digraph, h: Digraph, cap: int = DEFAULT_CAP) -> HomPoset:
     cells = _multihoms(g, h, limit=max(cap, 0) + 1)
     if len(cells) > max(cap, 0):
         raise SizeCapExceeded(f"hom poset exceeds cap of {cap} cells")
-    return HomPoset(g, h, map(MultiHom._from_masks, cells))
+    # The search emits mask tuples in lexicographic order, which is
+    # ascending packed order, so no sort is needed.
+    w = max(h.n, 1)
+    packed = []
+    for masks in cells:
+        acc = 0
+        for m in masks:
+            acc = acc << w | m
+        packed.append(acc)
+    return HomPoset._from_packed(g, h, packed)
 
 
 class HomSkeleton:

@@ -339,7 +339,7 @@ def homology_of_poset(p: Poset | HomPoset, cap: int = DEFAULT_CAP) -> HomologyGr
     """
     if isinstance(p, Poset):
         return reduced_homology(order_complex(p, cap))
-    return _homology(*_cellular_chains(c.masks for c in p.cells))
+    return _homology(*_cellular_chains(p._masks(p._packed)))
 
 
 class LerayCertificate:

@@ -21,8 +21,14 @@ from . import _graph
 from .complexes import Poset, SimplicialComplex
 from .constructions import transitive_tournament
 from .digraph import DEFAULT_CAP, Digraph
-from .errors import EmptyHom, InvalidMatching, InvalidVariant, NotAcyclic
-from .homcomplex import HomPoset, MultiHom, hom_poset
+from .errors import (
+    EmptyHom,
+    InvalidMatching,
+    InvalidVariant,
+    NotAcyclic,
+    ShapeMismatch,
+)
+from .homcomplex import HomPoset, hom_poset
 
 
 class Matching:
@@ -57,12 +63,6 @@ class Matching:
         return f"Matching({len(self.pairs)} pairs, {len(self.critical)} critical)"
 
 
-def _poset_structure(p: Poset | HomPoset):
-    if isinstance(p, HomPoset):
-        return p.cells, p.covering_index_pairs()
-    return p.elements, p.covering_index_pairs()
-
-
 def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     """Validate ``m`` against ``p`` and check acyclicity.
 
@@ -71,16 +71,25 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     partition the poset.  Returns ``False`` exactly when the modified Hasse
     diagram has a directed cycle.
     """
-    elements, covers = _poset_structure(p)
-    index = {x: i for i, x in enumerate(elements)}
-    cover_set = set(covers)
+    covers = p.covering_index_pairs()
+    if isinstance(p, HomPoset):
+        # Covers of a hom poset are tested on the packed cells, so the
+        # (many) covers need no set.
+        locate, is_cover = p._find, p._is_cover
+    else:
+        locate = {x: i for i, x in enumerate(p.elements)}.get
+        cover_set = set(covers)
+
+        def is_cover(i: int, j: int) -> bool:
+            return (i, j) in cover_set
+
     matched_up: dict[int, int] = {}
     used: set[int] = set()
     for a, b in m.pairs:
-        if a not in index or b not in index:
+        ia, ib = locate(a), locate(b)
+        if ia is None or ib is None:
             raise InvalidMatching(f"pair ({a!r}, {b!r}) mentions unknown cells")
-        ia, ib = index[a], index[b]
-        if (ia, ib) not in cover_set:
+        if not is_cover(ia, ib):
             raise InvalidMatching(f"({a!r}, {b!r}) is not a covering pair")
         if ia in used or ib in used:
             raise InvalidMatching("a cell appears in two pairs")
@@ -88,17 +97,17 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
         matched_up[ia] = ib
     crit = set()
     for c in m.critical:
-        if c not in index:
+        ic = locate(c)
+        if ic is None:
             raise InvalidMatching(f"unknown critical cell {c!r}")
-        ic = index[c]
         if ic in used or ic in crit:
             raise InvalidMatching(f"cell {c!r} is both matched and critical")
         crit.add(ic)
-    if len(used) + len(crit) != len(elements):
+    if len(used) + len(crit) != len(p):
         raise InvalidMatching("pairs and critical cells do not partition the poset")
 
     # Modified Hasse diagram: matched covers point up, the rest point down.
-    succ: list[list[int]] = [[] for _ in elements]
+    succ: list[list[int]] = [[] for _ in range(len(p))]
     for i, j in covers:
         if matched_up.get(i) == j:
             succ[i].append(j)
@@ -135,38 +144,47 @@ def tournament_matching(
     unmatched cell is the homomorphism sending each vertex to its level
     value.
 
-    Raises :class:`NotAcyclic` for non-DAGs and :class:`EmptyHom` when
-    there is no homomorphism (a directed path on more than ``n`` vertices).
+    Raises :class:`NotAcyclic` for non-DAGs, :class:`EmptyHom` when
+    there is no homomorphism (a directed path on more than ``n`` vertices)
+    and :class:`ShapeMismatch` when ``poset`` is given but is not the hom
+    poset of ``(g, T_n)``.
     """
     level = _peel_levels(g)
     if g.n and max(level) >= n:
         raise EmptyHom(
             f"no homomorphism: longest directed path has {max(level) + 1} vertices"
         )
-    p = poset if poset is not None else hom_poset(g, transitive_tournament(n), cap)
-    cells = p.cells
+    t = transitive_tournament(n)
+    if poset is None:
+        poset = hom_poset(g, t, cap)
+    elif poset.source != g or poset.target != t:
+        raise ShapeMismatch(f"{poset!r} is not the hom poset of the source into T_{n}")
     by_level: dict[int, list[int]] = {}
     for v in range(g.n):
         by_level.setdefault(level[v], []).append(v)
-    pairs: list[tuple[MultiHom, MultiHom]] = []
-    live = list(range(len(cells)))
+    # Work on the packed cells: vertex a's assignment is the block at
+    # ``offsets[a]``.
+    full = (1 << poset._width) - 1
+    offsets = poset._shifts()
+    uppers: list[int] = []
+    lowers: list[int] = []
+    live = poset._packed
     for lvl in sorted(by_level):
-        m = n - 1 - lvl
-        bit = 1 << m
+        bit = 1 << n - 1 - lvl
         for a in sorted(by_level[lvl]):
+            offset = offsets[a]
             survivors = []
-            for i in live:
-                mask = cells[i].masks[a]
+            for c in live:
+                mask = c >> offset & full
                 if mask == bit:
-                    survivors.append(i)
+                    survivors.append(c)
                 elif mask & bit:
-                    lower = MultiHom._from_masks(
-                        cells[i].masks[:a] + (mask ^ bit,) + cells[i].masks[a + 1 :]
-                    )
-                    pairs.append((lower, cells[i]))
+                    uppers.append(c)
+                    lowers.append(c ^ bit << offset)
                 # cells without the bit are exactly the lowers added above
             live = survivors
-    return Matching(pairs, [cells[i] for i in live])
+    pairs = zip(poset._views(lowers), poset._views(uppers))
+    return Matching(pairs, poset._views(live))
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,28 @@ class TestRunMorse:
         assert run(["morse", path, "3"]) == 1
         assert "cycle" in capsys.readouterr().err
 
+    def test_packed_cells_need_no_sort_key_and_one_covers_pass(
+        self, capsys, graph_file, monkeypatch
+    ):
+        calls = {"key": 0, "covers": 0}
+        key, covers = dihom.MultiHom.key, dihom.HomPoset.covering_index_pairs
+
+        def counted_key(self):
+            calls["key"] += 1
+            return key(self)
+
+        def counted_covers(self):
+            calls["covers"] += 1
+            return covers(self)
+
+        monkeypatch.setattr(dihom.MultiHom, "key", counted_key)
+        monkeypatch.setattr(dihom.HomPoset, "covering_index_pairs", counted_covers)
+        path = graph_file(Digraph(4, [(0, 1), (2, 3)]))
+        out = run_json(capsys, "morse", path, "4")
+        assert out["acyclic"] is True
+        assert out["critical"] == [[[2], [3], [2], [3]]]
+        assert calls == {"key": 0, "covers": 1}
+
 
 class TestRunPlumbing:
     def test_version(self, capsys):

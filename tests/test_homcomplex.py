@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from dihom import (
     Digraph,
     EmptyComplex,
+    HomPoset,
     InvalidRange,
     MultiHom,
     ShapeMismatch,
@@ -167,6 +168,66 @@ class TestHomPoset:
         assert cell in p
         assert list(p)[p.index(cell)] == cell
         assert MultiHom([{0, 1}, {1}]) not in p
+
+    def test_members_past_the_block_width_do_not_alias(self):
+        # Packed 4 bits per vertex with vertex 1 lowest, member 4 of
+        # vertex 1 lands on member 0 of vertex 0: [{0}, {1, 4}] would read
+        # as the cell [{0}, {1}].
+        p = hom_poset(transitive_tournament(2), transitive_tournament(4))
+        alias = MultiHom([{0}, {1, 4}])
+        assert alias not in p
+        with pytest.raises(KeyError):
+            p.index(alias)
+        assert MultiHom([{0}, {1}]) in p
+
+    def test_cells_of_the_wrong_length_are_not_members(self):
+        p = hom_poset(transitive_tournament(2), transitive_tournament(4))
+        assert MultiHom([{0}]) not in p
+        assert MultiHom([{0}, {1}, {2}]) not in p
+        assert (0, 1) not in p
+        with pytest.raises(KeyError):
+            p.index(MultiHom([{1}]))
+
+    def test_constructor_sorts_and_rejects_foreign_shapes(self):
+        g, h = transitive_tournament(2), transitive_tournament(4)
+        p = hom_poset(g, h)
+        assert HomPoset(g, h, reversed(p.cells)).cells == p.cells
+        with pytest.raises(ShapeMismatch):
+            HomPoset(g, h, [MultiHom([{0}, {1, 4}])])
+        with pytest.raises(ShapeMismatch):
+            HomPoset(g, h, [MultiHom([{0}])])
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(3), digraphs(4))
+    @edge_cases
+    def test_covers_match_brute_force(self, g, h):
+        p = hom_poset(g, h)
+        if len(p) > 300:
+            return
+        cells = list(p)
+        expected = {
+            (i, j)
+            for i, a in enumerate(cells)
+            for j, b in enumerate(cells)
+            if a.leq(b) and b.dimension() == a.dimension() + 1
+        }
+        covers = p.covering_index_pairs()
+        assert len(covers) == len(expected)
+        assert set(covers) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(3), digraphs(4))
+    @edge_cases
+    def test_cells_ascend_in_packed_order(self, g, h):
+        p = hom_poset(g, h)
+        w = max(h.n, 1)
+        packed = [sum(m << w * (g.n - 1 - v) for v, m in enumerate(c.masks)) for c in p]
+        assert all(a < b for a, b in zip(packed, packed[1:]))
+        assert [c.masks for c in p] == sorted(c.masks for c in p)
+        assert [p.index(c) for c in p] == list(range(len(p)))
+        minimal = p.minimal_cells()
+        assert [c.singleton_map() for c in minimal] == enumerate_homomorphisms(g, h)
+        assert minimal == [c for c in p if c.is_singleton()]
 
     def test_empty_when_no_homomorphism_exists(self):
         p = hom_poset(directed_cycle(3), transitive_tournament(5))

@@ -1,6 +1,10 @@
 """Tests for acyclic matchings, collapsing engines, and Morse vectors."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dihom import (
     Digraph,
@@ -11,6 +15,7 @@ from dihom import (
     MultiHom,
     NotAcyclic,
     Poset,
+    ShapeMismatch,
     SimplicialComplex,
     VertexMap,
     collapse_free_pairs,
@@ -28,6 +33,8 @@ from dihom import (
     tournament_matching,
     transitive_tournament,
 )
+
+from conftest import digraphs, edge_cases
 
 
 def square_boundary_poset() -> Poset:
@@ -134,6 +141,111 @@ class TestTournamentMatching:
     def test_cycle_raises(self):
         with pytest.raises(NotAcyclic):
             tournament_matching(directed_cycle(3), 5)
+
+    def test_poset_of_another_target_is_rejected(self):
+        p = hom_poset(directed_path(2), transitive_tournament(3))
+        with pytest.raises(ShapeMismatch):
+            tournament_matching(directed_path(2), 4, poset=p)
+
+    def test_poset_of_another_source_is_rejected(self):
+        p = hom_poset(Digraph(3), transitive_tournament(4))
+        with pytest.raises(ShapeMismatch):
+            tournament_matching(directed_path(2), 4, poset=p)
+
+
+def _verdict(p, m):
+    try:
+        return is_acyclic_matching(p, m)
+    except InvalidMatching as e:
+        return f"InvalidMatching: {e}"
+
+
+def _perturbations(p, m):
+    """Broken variants of ``m``: a dropped or repeated critical cell, a
+    pair turned upside down, a cell used twice, a pair two members apart,
+    a pair whose lower cell is not contained in the upper, and an
+    aliasing cell outside the poset."""
+    cells = list(p)
+    crit = list(m.critical)
+    out = [Matching(m.pairs, crit[1:]), Matching(m.pairs, crit + crit[:1])]
+    if m.pairs:
+        a, b = m.pairs[0]
+        out.append(Matching(((b, a),) + m.pairs[1:], crit))
+        out.append(Matching(m.pairs + ((a, b),), crit))
+        out.append(Matching(m.pairs, crit + [b]))
+    two_apart = (
+        (a, b) for a in cells for b in cells
+        if b.dimension() == a.dimension() + 2 and a.leq(b)
+    )
+    not_below = (
+        (a, b) for a in cells for b in cells
+        if b.dimension() == a.dimension() + 1 and not a.leq(b)
+    )
+    for a, b in filter(None, (next(two_apart, None), next(not_below, None))):
+        out.append(Matching([(a, b)], [c for c in cells if c not in (a, b)]))
+    if cells and len(cells[0]):
+        # A member at the block width would spill into a packed neighbour.
+        alias = [set(x) for x in cells[0].assignments]
+        alias[-1].add(max(p.target.n, 1))
+        out.append(Matching(m.pairs, crit + [MultiHom(alias)]))
+    return out
+
+
+def _greedy_matching(p, rnd):
+    """Match covers first come, first served in a random order; acyclic
+    or not."""
+    cells = list(p)
+    covers = p.covering_index_pairs()
+    rnd.shuffle(covers)
+    used = set()
+    pairs = []
+    for i, j in covers:
+        if i not in used and j not in used:
+            used.update((i, j))
+            pairs.append((cells[i], cells[j]))
+    return Matching(pairs, [c for k, c in enumerate(cells) if k not in used])
+
+
+dags = digraphs(4).map(lambda g: Digraph(g.n, [(u, v) for u, v in g.edges if u < v]))
+
+
+class TestPackedMatchingCheck:
+    """The structural cover test on a :class:`HomPoset` gives the same
+    verdict, or the same :class:`InvalidMatching`, as the generic
+    :class:`Poset` route over its explicit covers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags, st.integers(1, 4))
+    @example(Digraph(0), 2)
+    @example(Digraph(2), 1)
+    @example(Digraph(3, [(0, 1), (1, 2)]), 3)
+    def test_tournament_matchings(self, g, n):
+        t = transitive_tournament(n)
+        p = hom_poset(g, t)
+        if not len(p):
+            with pytest.raises(EmptyHom):
+                tournament_matching(g, n, poset=p)
+            return
+        if len(p) > 400:
+            return
+        m = tournament_matching(g, n, poset=p)
+        q = p.as_poset()
+        assert is_acyclic_matching(p, m) is is_acyclic_matching(q, m) is True
+        for bad in _perturbations(p, m):
+            assert _verdict(p, bad) == _verdict(q, bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(3), digraphs(3))
+    @edge_cases
+    def test_greedy_matchings(self, g, h):
+        p = hom_poset(g, h)
+        if len(p) > 300:
+            return
+        m = _greedy_matching(p, random.Random(len(p)))
+        q = p.as_poset()
+        assert _verdict(p, m) == _verdict(q, m)
+        for bad in _perturbations(p, m):
+            assert _verdict(p, bad) == _verdict(q, bad)
 
 
 class TestCollapseFreePairs:
