@@ -30,13 +30,13 @@ from .constructions import (
     sphere_tournament,
     transitive_tournament,
 )
-from .digraph import DEFAULT_CAP, Digraph, VertexMap
-from .errors import DihomError, EmptyHom, ParseError
-from .homcomplex import hom_one_skeleton, hom_poset
+from .digraph import DEFAULT_CAP, Digraph, VertexMap, _decode_maps, _multihoms
+from .errors import DihomError, EmptyHom, ParseError, SizeCapExceeded
+from .homcomplex import hom_poset
 from .homology import HomologyGroups, homology_of_poset, is_n_leray, reduced_homology
 from .homotopy import _fold_to_stiff, _HomRelations, _is_looped_point
 from .morse import is_acyclic_matching, tournament_matching
-from .reconfig import _skeleton_diameter, meet_path
+from .reconfig import meet_path
 
 # Posets larger than this skip the homology computation in `hom` output.
 _HOMOLOGY_CELL_LIMIT = 4000
@@ -253,22 +253,27 @@ def _cmd_fold(ns: argparse.Namespace) -> Any:
 
 def _cmd_reconfig(ns: argparse.Namespace) -> Any:
     g = _load_graph(ns.graph)
-    sk = hom_one_skeleton(g, transitive_tournament(ns.n))
-    if len(sk) == 0:
+    cap = max(ns.cap, 0)
+    cells = _multihoms(g, transitive_tournament(ns.n), max_dim=1, limit=cap + 1)
+    if len(cells) > cap:
+        raise SizeCapExceeded(f"hom one-skeleton exceeds cap of {ns.cap} cells")
+    maps = [c for c in cells if c.bit_count() == g.n]
+    if not maps:
         raise EmptyHom(f"no homomorphisms into the transitive tournament T_{ns.n}")
-    diameter = _skeleton_diameter(sk)
+    # Into T_n the skeleton is connected, and its diameter is the Hamming
+    # distance of the pointwise min and max maps, the first and the last.
     out: dict[str, Any] = {
-        "homomorphisms": len(sk),
-        "edges": len(sk.edges),
-        "connected": diameter is not None,
-        "diameter": diameter,
+        "homomorphisms": len(maps),
+        "edges": len(cells) - len(maps),
+        "connected": True,
+        "diameter": (maps[0] ^ maps[-1]).bit_count() // 2,
     }
-    maps = sk.maps
     if ns.seed is not None:
         rng = random.Random(ns.seed)
-        a, b = rng.choice(maps), rng.choice(maps)
+        ends = rng.choice(maps), rng.choice(maps)
     else:
-        a, b = maps[0], maps[-1]
+        ends = maps[0], maps[-1]
+    a, b = _decode_maps(ends, g.n, ns.n)
     path = meet_path(a, b, g, ns.n)
     out["sample_path"] = {
         "from": list(a.image),

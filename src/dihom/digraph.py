@@ -332,10 +332,7 @@ def is_homomorphism(f: VertexMap, g: Digraph, h: Digraph) -> bool:
 
 def enumerate_homomorphisms(g: Digraph, h: Digraph) -> list[VertexMap]:
     """All homomorphisms ``g -> h`` in lexicographic image order."""
-    return [
-        VertexMap(m.bit_length() - 1 for m in cell)
-        for cell in _multihoms(g, h, max_dim=0)
-    ]
+    return _decode_maps(_multihoms(g, h, max_dim=0), g.n, max(h.n, 1))
 
 
 def has_homomorphism(g: Digraph, h: Digraph) -> bool:
@@ -343,60 +340,95 @@ def has_homomorphism(g: Digraph, h: Digraph) -> bool:
     return bool(_multihoms(g, h, max_dim=0, limit=1))
 
 
+def _shifts(n: int, w: int) -> range:
+    """The bit offset of each of ``n`` blocks of ``w`` bits, vertex 0 first.
+
+    This is the one cell layout: a multihomomorphism ``g -> h`` is an int
+    holding ``v``'s mask at ``_shifts(g.n, max(h.n, 1))[v]``, so ascending
+    ints are the cells in lexicographic order of their mask tuples."""
+    return range((n - 1) * w, -1, -w)
+
+
+def _pack(masks: Sequence[int], n: int, w: int) -> int | None:
+    """The cell of ``n`` masks below ``1 << w``; ``None`` for other ``masks``."""
+    if len(masks) != n:
+        return None
+    acc = 0
+    for m in masks:
+        if m >> w:
+            return None
+        acc = acc << w | m
+    return acc
+
+
+def _unpack(cells: Iterable[int], n: int, w: int) -> Iterator[tuple[int, ...]]:
+    """The per-vertex masks of each of ``cells``."""
+    full = (1 << w) - 1
+    shifts = _shifts(n, w)
+    for c in cells:
+        yield tuple([c >> s & full for s in shifts])
+
+
+def _decode_maps(cells: Iterable[int], n: int, w: int) -> list[VertexMap]:
+    """The vertex maps of the 0-cells ``cells``."""
+    return [VertexMap(m.bit_length() - 1 for m in c) for c in _unpack(cells, n, w)]
+
+
 def _multihoms(
     g: Digraph, h: Digraph, max_dim: int | None = None, limit: int | None = None
-) -> list[tuple[int, ...]]:
-    """Per-vertex target masks of the multihomomorphisms ``g -> h`` of
-    dimension at most ``max_dim``, stopping after ``limit`` cells.
+) -> list[int]:
+    """The multihomomorphisms ``g -> h`` of dimension at most ``max_dim``,
+    as cells in ascending order, stopping after ``limit`` cells.
 
     Backtracks vertex by vertex, restricting each assignment set to the
-    common neighborhoods of the already-assigned neighbors.  Singletons are
-    tried in increasing order, so the 0-cells come out in lexicographic
-    order.
+    common neighborhoods of the already-assigned neighbors and trying the
+    sets in increasing mask order.
     """
     n = g.n
     full = (1 << h.n) - 1
+    shifts = _shifts(n, max(h.n, 1))
     looped = _mask_of(t for t in range(h.n) if h._out[t] >> t & 1)
     co = functools.cache(lambda mask: _common(h._out, mask, full))
     ci = functools.cache(lambda mask: _common(h._in, mask, full))
     in_masks = [g._in[v] & ((1 << v) - 1) for v in range(n)]
     out_masks = [g._out[v] & ((1 << v) - 1) for v in range(n)]
     loops = [bool(g._out[v] >> v & 1) for v in range(n)]
-    cells: list[tuple[int, ...]] = []
+    cells: list[int] = []
     masks = [0] * n
 
-    def rec(v: int, budget: int | None) -> bool:
-        """Extend the first ``v`` assignments, spending at most ``budget``
-        extra values; True once ``limit`` is hit."""
+    def rec(v: int, acc: int, budget: int | None) -> bool:
+        """Extend the first ``v`` assignments, packed in ``acc``, spending
+        at most ``budget`` extra values; True once ``limit`` is hit."""
         if v == n:
-            cells.append(tuple(masks))
+            cells.append(acc)
             return len(cells) == limit
         allowed = looped if loops[v] else full
         for u in _bits(in_masks[v]):
             allowed &= co(masks[u])
         for u in _bits(out_masks[v]):
             allowed &= ci(masks[u])
+        shift = shifts[v]
         if budget is None:
             s = 0
             while s := (s - allowed) & allowed:
                 if not loops[v] or s & ~co(s) == 0:
                     masks[v] = s
-                    if rec(v + 1, None):
+                    if rec(v + 1, acc | s << shift, None):
                         return True
             return False
         # Form only the sets of at most budget + 1 values: walking every
         # subset of ``allowed`` and discarding the big ones costs 2**|allowed|.
         values = [1 << t for t in _bits(allowed)]
-        for k in range(min(budget + 1, len(values))):
-            for subset in itertools.combinations(values, k + 1):
-                s = sum(subset)
-                if not loops[v] or s & ~co(s) == 0:
-                    masks[v] = s
-                    if rec(v + 1, budget - k):
-                        return True
+        sizes = range(1, min(budget + 1, len(values)) + 1)
+        sets = [sum(c) for k in sizes for c in itertools.combinations(values, k)]
+        for s in sorted(sets):
+            if not loops[v] or s & ~co(s) == 0:
+                masks[v] = s
+                if rec(v + 1, acc | s << shift, budget + 1 - s.bit_count()):
+                    return True
         return False
 
-    rec(0, max_dim)
+    rec(0, 0, max_dim)
     return cells
 
 
@@ -416,14 +448,14 @@ def _arrows(g: Digraph, h: Digraph, maps: Sequence[VertexMap]) -> list[list[int]
     out-neighborhood of its values on the in-neighbors of ``w``; an arrow is
     then one mask test.
     """
-    hn, full = h.n, (1 << h.n) - 1
-    packed = [sum(1 << (w * hn + t) for w, t in enumerate(f.image)) for f in maps]
+    full, shifts = (1 << h.n) - 1, _shifts(g.n, max(h.n, 1))
+    packed = [sum(1 << t << s for t, s in zip(f.image, shifts)) for f in maps]
     succ = []
     for f in maps:
         reach = 0
-        for w in range(g.n):
+        for w, s in enumerate(shifts):
             values = _mask_of(f.image[v] for v in _bits(g._in[w]))
-            reach |= _common(h._out, values, full) << (w * hn)
+            reach |= _common(h._out, values, full) << s
         succ.append([j for j, p in enumerate(packed) if not p & ~reach])
     return succ
 

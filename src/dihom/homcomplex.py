@@ -30,7 +30,11 @@ from .digraph import (
     Digraph,
     VertexMap,
     _bits,
+    _decode_maps,
     _multihoms,
+    _pack,
+    _shifts,
+    _unpack,
 )
 from .errors import EmptyComplex, InvalidRange, ShapeMismatch, SizeCapExceeded
 
@@ -163,7 +167,7 @@ class HomPoset:
         n, w = source.n, max(target.n, 1)
         packed = set()
         for c in cells:
-            k = _pack(c, n, w)
+            k = _pack(c.masks, n, w) if isinstance(c, MultiHom) else None
             if k is None:
                 raise ShapeMismatch(f"{c!r} is not a cell of {n} sets in 0..{w - 1}")
             packed.add(k)
@@ -189,20 +193,8 @@ class HomPoset:
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("HomPoset is immutable")
 
-    def _shifts(self) -> range:
-        """Bit offset of each source vertex's block, vertex 0 first."""
-        w = self._width
-        return range((self.source.n - 1) * w, -1, -w)
-
-    def _masks(self, packed: Iterable[int]) -> Iterator[tuple[int, ...]]:
-        """Mask tuples of the packed cells ``packed``, in order."""
-        full = (1 << self._width) - 1
-        shifts = self._shifts()
-        for c in packed:
-            yield tuple([c >> s & full for s in shifts])
-
     def _views(self, packed: Iterable[int]) -> Iterator[MultiHom]:
-        return map(MultiHom._from_masks, self._masks(packed))
+        return map(MultiHom._from_masks, _unpack(packed, self.source.n, self._width))
 
     @property
     def cells(self) -> tuple[MultiHom, ...]:
@@ -218,7 +210,9 @@ class HomPoset:
 
     def _find(self, cell: object) -> int | None:
         """The index of ``cell``, or ``None`` when it is not a cell here."""
-        return self._index.get(_pack(cell, self.source.n, self._width))
+        if not isinstance(cell, MultiHom):
+            return None
+        return self._index.get(_pack(cell.masks, self.source.n, self._width))
 
     def __contains__(self, cell: object) -> bool:
         return self._find(cell) is not None
@@ -253,9 +247,9 @@ class HomPoset:
     def covering_index_pairs(self) -> list[tuple[int, int]]:
         """All covers ``(i, j)``: cell ``i`` is cell ``j`` minus one member."""
         index = self._index
-        full = (1 << self._width) - 1
-        shifts = self._shifts()
-        n = self.source.n
+        n, w = self.source.n, self._width
+        full = (1 << w) - 1
+        shifts = _shifts(n, w)
         out = []
         append = out.append
         for j, c in enumerate(self._packed):
@@ -291,9 +285,7 @@ class HomPoset:
 
     def is_connected(self) -> bool:
         # A complex is connected exactly when its one-skeleton is.
-        n = self.source.n
-        low = (c for c in self._packed if c.bit_count() - n <= 1)
-        return _skeleton(self._masks(low)).is_connected()
+        return _skeleton(self._packed, self.source.n, self._width).is_connected()
 
     def as_poset(self) -> Poset:
         covers = [
@@ -305,37 +297,13 @@ class HomPoset:
         return f"HomPoset({len(self)} cells)"
 
 
-def _pack(cell: object, n: int, w: int) -> int | None:
-    """``cell``'s masks packed ``w`` bits apiece, vertex 0 highest, or
-    ``None`` when it cannot be one of ``n`` such blocks: not a
-    :class:`MultiHom`, the wrong length, or a member at or above ``w``
-    (which would spill into the next block)."""
-    if not isinstance(cell, MultiHom) or len(cell) != n:
-        return None
-    acc = 0
-    for m in cell.masks:
-        if m >> w:
-            return None
-        acc = acc << w | m
-    return acc
-
-
 def hom_poset(g: Digraph, h: Digraph, cap: int = DEFAULT_CAP) -> HomPoset:
     """Materialize the full multihomomorphism poset of ``(g, h)``; raises
     :class:`SizeCapExceeded` after ``cap`` cells."""
     cells = _multihoms(g, h, limit=max(cap, 0) + 1)
     if len(cells) > max(cap, 0):
         raise SizeCapExceeded(f"hom poset exceeds cap of {cap} cells")
-    # The search emits mask tuples in lexicographic order, which is
-    # ascending packed order, so no sort is needed.
-    w = max(h.n, 1)
-    packed = []
-    for masks in cells:
-        acc = 0
-        for m in masks:
-            acc = acc << w | m
-        packed.append(acc)
-    return HomPoset._from_packed(g, h, packed)
+    return HomPoset._from_packed(g, h, cells)
 
 
 class HomSkeleton:
@@ -391,28 +359,25 @@ class HomSkeleton:
 
 def hom_one_skeleton(g: Digraph, h: Digraph) -> HomSkeleton:
     """Vertices and edges of the homomorphism complex of ``(g, h)``."""
-    return _skeleton(_multihoms(g, h, max_dim=1))
+    return _skeleton(_multihoms(g, h, max_dim=1), g.n, max(h.n, 1))
 
 
-def _skeleton(cells: Iterable[tuple[int, ...]]) -> HomSkeleton:
-    """The one-skeleton of a downward-closed set of cells (mask tuples):
-    each 1-cell, one doubled assignment, joins the 0-cells taking its low
-    and its high bit there."""
-    index: dict[tuple[int, ...], int] = {}
+def _skeleton(cells: list[int], n: int, w: int) -> HomSkeleton:
+    """The one-skeleton of a downward-closed set of cells of ``n`` blocks
+    of ``w`` bits: each 1-cell joins the 0-cells that drop one bit of its
+    doubled block (dropping any other bit would empty a block)."""
+    index: dict[int, int] = {}
     doubled = []
     for c in cells:
-        dim = sum(map(int.bit_count, c)) - len(c)
+        dim = c.bit_count() - n
         if dim == 0:
             index[c] = len(index)
         elif dim == 1:
             doubled.append(c)
     edges = []
     for c in doubled:
-        v = next(v for v, m in enumerate(c) if m & (m - 1))
-        low = c[v] & -c[v]
-        i, j = (index[c[:v] + (b,) + c[v + 1 :]] for b in (low, c[v] ^ low))
-        edges.append((i, j))
-    maps = [VertexMap(m.bit_length() - 1 for m in c) for c in index]
+        edges.append([index[c ^ 1 << b] for b in _bits(c) if c ^ 1 << b in index])
+    maps = _decode_maps(index, n, w)
     return HomSkeleton(maps, edges)
 
 

@@ -17,7 +17,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Poset, SimplicialComplex, order_complex
-from .digraph import DEFAULT_CAP, _bits
+from .digraph import DEFAULT_CAP, _bits, _shifts, _unpack
 from .homcomplex import HomPoset
 
 
@@ -291,10 +291,10 @@ def _homology(
 
 
 def _cellular_chains(
-    cells: Iterable[tuple[int, ...]],
+    cells: Iterable[int], n: int, w: int
 ) -> tuple[dict[int, int], dict[int, dict[int, dict[int, int]]]]:
     """Cell counts and boundary matrices of the augmented cellular chain
-    complex of a hom complex, from its cells as mask tuples.
+    complex of a hom complex, from its packed cells of ``n`` ``w``-bit blocks.
 
     A cell is the product of one simplex per source vertex, spanned by that
     vertex's assignment set in increasing order.  Dropping member ``x`` of
@@ -303,26 +303,27 @@ def _cellular_chains(
     ``1 * ()``, the augmentation cell in degree ``-1``.  The cell set must
     be closed under dropping members.
     """
-    index: dict[int, dict[tuple[int, ...], int]] = {-1: {(): 0}}
+    index: dict[int, dict[int, int]] = {-1: {-1: 0}}  # the augmentation cell
     for c in cells:
-        level = index.setdefault(sum(map(int.bit_count, c)) - len(c), {})
+        level = index.setdefault(c.bit_count() - n, {})
         level[c] = len(level)
     boundaries: dict[int, dict[int, dict[int, int]]] = {}
     if 0 in index:
         boundaries[0] = {0: dict.fromkeys(range(len(index[0])), 1)}
+    shifts = _shifts(n, w)
     for d, level in index.items():
         if d < 1:
             continue
         lower = index[d - 1]
         rows = boundaries[d] = {}
-        for c, j in level.items():
-            shift = 0
-            for v, m in enumerate(c):
+        for (c, j), masks in zip(level.items(), _unpack(level, n, w)):
+            sign = 0
+            for m, s in zip(masks, shifts):
                 if m & (m - 1):
-                    for i, x in enumerate(_bits(m), shift):
-                        face = c[:v] + (m ^ 1 << x,) + c[v + 1 :]
+                    for i, x in enumerate(_bits(m), sign):
+                        face = c ^ 1 << (x + s)
                         rows.setdefault(lower[face], {})[j] = -1 if i & 1 else 1
-                    shift += m.bit_count() - 1
+                    sign += m.bit_count() - 1
     return {d: len(level) for d, level in index.items()}, boundaries
 
 
@@ -339,7 +340,7 @@ def homology_of_poset(p: Poset | HomPoset, cap: int = DEFAULT_CAP) -> HomologyGr
     """
     if isinstance(p, Poset):
         return reduced_homology(order_complex(p, cap))
-    return _homology(*_cellular_chains(p._masks(p._packed)))
+    return _homology(*_cellular_chains(p._packed, p.source.n, p._width))
 
 
 class LerayCertificate:

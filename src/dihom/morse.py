@@ -20,7 +20,7 @@ from typing import Hashable, Iterable, Sequence
 from . import _graph
 from .complexes import Poset, SimplicialComplex
 from .constructions import transitive_tournament
-from .digraph import DEFAULT_CAP, Digraph
+from .digraph import DEFAULT_CAP, Digraph, _shifts
 from .errors import (
     EmptyHom,
     InvalidMatching,
@@ -165,7 +165,7 @@ def tournament_matching(
     # Work on the packed cells: vertex a's assignment is the block at
     # ``offsets[a]``.
     full = (1 << poset._width) - 1
-    offsets = poset._shifts()
+    offsets = _shifts(g.n, poset._width)
     uppers: list[int] = []
     lowers: list[int] = []
     live = poset._packed

@@ -4,7 +4,10 @@ Connectivity questions about the one-skeleton of the hom complex: can one
 homomorphism be turned into another by single-vertex moves, and how many
 moves are needed?  Against transitive tournaments the answer is tight —
 the pointwise minimum of two homomorphisms is a homomorphism, and walking
-through it realizes the Hamming distance exactly.
+through it realizes the Hamming distance exactly.  So into ``T_n`` the
+skeleton is connected when nonempty, with diameter the count of vertices
+where the pointwise min and max of all maps differ; :func:`diameter` and
+:func:`is_connected_hom` search breadth-first, for any target.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import (
     NotAHomomorphism,
     SizeCapExceeded,
 )
-from .homcomplex import HomSkeleton, hom_one_skeleton
+from .homcomplex import hom_one_skeleton
 
 
 def is_connected_hom(g: Digraph, h: Digraph) -> bool:
@@ -32,30 +35,23 @@ def is_connected_hom(g: Digraph, h: Digraph) -> bool:
     return sk.is_connected()
 
 
-def _skeleton_diameter(sk: HomSkeleton) -> int | None:
-    """Largest distance in a nonempty one-skeleton, ``None`` when it is
-    disconnected."""
-    best = 0
-    for start in range(len(sk)):
-        dist = sk.bfs_distances(start)
-        if min(dist) < 0:
-            return None
-        best = max(best, max(dist))
-    return best
-
-
 def diameter(g: Digraph, h: Digraph) -> int:
     """Largest reconfiguration distance between homomorphisms ``g -> h``.
 
-    Runs a breadth-first search from every map.  Raises :class:`EmptyHom`
-    with no maps and :class:`Disconnected` when some pair is unreachable.
+    Runs a breadth-first search from every map, for any target (into
+    ``T_n`` it is the count of vertices where ⊥ and ⊤, the pointwise min
+    and max of all maps, differ).  Raises :class:`EmptyHom` with no maps
+    and :class:`Disconnected` when some pair is unreachable.
     """
     sk = hom_one_skeleton(g, h)
     if len(sk) == 0:
         raise EmptyHom("no homomorphisms")
-    best = _skeleton_diameter(sk)
-    if best is None:
-        raise Disconnected("the hom complex is not connected")
+    best = 0
+    for start in range(len(sk)):
+        dist = sk.bfs_distances(start)
+        if min(dist) < 0:
+            raise Disconnected("the hom complex is not connected")
+        best = max(best, max(dist))
     return best
 
 

@@ -1,16 +1,28 @@
 """Tests for the command line front end and the graph text format."""
 
+import contextlib
+import io
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import dihom
 from dihom import (
     Digraph,
+    EmptyHom,
+    HomSkeleton,
     ParseError,
+    diameter,
     directed_cycle,
     directed_path,
+    hom_one_skeleton,
     homotopy_witness_pair,
+    meet_path,
     transitive_tournament,
 )
 from dihom.cli import emit_digraph, parse_digraph, run
@@ -115,6 +127,34 @@ def run_json(capsys, *argv):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     return json.loads(captured.out)
+
+
+def run_capture(*argv):
+    """Exit code and parsed stdout (``None`` when empty), without capsys."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(list(argv))
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
+def diamond() -> Digraph:
+    return Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+# DAGs on up to 5 vertices whose labels are shuffled, so arcs may point
+# from a higher label to a lower one.
+shuffled_dags = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+        if n
+        else st.just([]),
+    )
+).map(
+    lambda pe: Digraph(
+        len(pe[0]), [(pe[0][min(u, v)], pe[0][max(u, v)]) for u, v in pe[1] if u != v]
+    )
+)
 
 
 class TestRunHom:
@@ -229,6 +269,80 @@ class TestRunReconfig:
         first = run_json(capsys, "--seed", "5", "reconfig", path, "4")
         second = run_json(capsys, "--seed", "5", "reconfig", path, "4")
         assert first == second
+
+    @settings(max_examples=80, deadline=None)
+    @given(shuffled_dags, st.integers(1, 6), st.integers(0, 99))
+    @example(Digraph(0), 3, 0)
+    @example(Digraph(3), 4, 7)
+    @example(Digraph(2, [(0, 1), (1, 1)]), 4, 1)
+    @example(directed_cycle(3), 5, 2)
+    def test_closed_form_matches_the_skeleton(self, g, n, seed):
+        # The CLI reads its answer off the cells; the one-skeleton with a
+        # BFS from every map is the oracle, quadratic in the map count.
+        t = transitive_tournament(n)
+        sk = hom_one_skeleton(g, t)
+        assume(len(sk) <= 300)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "g.json")
+            path.write_text(emit_digraph(g), encoding="utf-8")
+            plain = run_capture("reconfig", str(path), str(n))
+            seeded = run_capture("--seed", str(seed), "reconfig", str(path), str(n))
+        if len(sk) == 0:
+            assert plain[0] == seeded[0] == 1
+            with pytest.raises(EmptyHom):
+                diameter(g, t)
+            return
+        rng = random.Random(seed)
+        ends = [(sk.maps[0], sk.maps[-1]), (rng.choice(sk.maps), rng.choice(sk.maps))]
+        for (code, out), (a, b) in zip((plain, seeded), ends):
+            assert code == 0
+            assert out["homomorphisms"] == len(sk)
+            assert out["edges"] == len(sk.edges)
+            assert out["connected"] is sk.is_connected()
+            assert out["diameter"] == diameter(g, t)
+            assert out["sample_path"] == {
+                "from": list(a.image),
+                "to": list(b.image),
+                "length": sum(x != y for x, y in zip(a.image, b.image)),
+                "path": [list(m.image) for m in meet_path(a, b, g, n)],
+            }
+
+    def test_one_search_and_no_skeleton(self, capsys, graph_file, monkeypatch):
+        calls = []
+        for module in (dihom.digraph, dihom.homcomplex, dihom.cli):
+            original = module._multihoms
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(kwargs)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "_multihoms", counted)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("skeleton route taken")
+
+        for module in (dihom.homcomplex, dihom.reconfig, dihom.cli):
+            monkeypatch.setattr(module, "hom_one_skeleton", fail, raising=False)
+        monkeypatch.setattr(HomSkeleton, "bfs_distances", fail)
+        out = run_json(capsys, "reconfig", graph_file(diamond()), "6")
+        assert out["homomorphisms"] == 50
+        assert len(calls) == 1 and calls[0]["max_dim"] == 1
+
+    def test_diamond_into_a_large_tournament(self, capsys, graph_file):
+        # A BFS from every map took more than a minute here.
+        out = run_json(capsys, "reconfig", graph_file(diamond()), "18")
+        assert out["homomorphisms"] == 6936
+        assert out["edges"] == 104_040
+        assert out["connected"] is True
+        assert out["diameter"] == 4
+
+    def test_cap_bounds_the_cells(self, capsys, graph_file):
+        # The diamond into T_6 has 50 maps and 150 edges: 200 cells.
+        path = graph_file(diamond())
+        assert run_json(capsys, "--cap", "200", "reconfig", path, "6")["edges"] == 150
+        for cap in ("199", "5", "0", "-1"):
+            assert run(["--cap", cap, "reconfig", path, "6"]) == 1
+            assert "exceeds cap" in capsys.readouterr().err
 
 
 class TestRunHomotopy:
