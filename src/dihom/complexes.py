@@ -17,6 +17,9 @@ Faces are ``frozenset`` objects over the complex's vertex labels.  Labels
 can be any hashable values; ordering questions (orientation of simplices,
 deterministic enumeration) always go through the position of a label in
 the complex's ``vertices`` tuple, never through comparing labels.
+Inside a complex each nonempty face is a bitmask over those positions:
+the one-block case of the packed cells of a hom complex, so both kinds
+of complex share one chain-complex builder (``homology._cellular_chains``).
 """
 
 from __future__ import annotations
@@ -25,16 +28,20 @@ import itertools
 from typing import Hashable, Iterable
 
 from . import _graph
-from .digraph import Digraph, _bits
+from .digraph import DEFAULT_CAP, Digraph, _bits, _mask_of
 from .errors import (
     EmptyComplex,
     FaceNotInComplex,
     InvalidVertex,
     SizeCapExceeded,
 )
-from .digraph import DEFAULT_CAP
 
 Face = frozenset
+
+
+def _face_order(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a face mask: dimension, then face key."""
+    return mask.bit_count(), tuple(_bits(mask))
 
 
 class SimplicialComplex:
@@ -43,9 +50,16 @@ class SimplicialComplex:
     Dominated generators are dropped so ``facets`` holds exactly the
     maximal faces.  Pass no generating sets for the void complex, or a
     single empty set for the empty complex.
+
+    A simplicial complex is the one-block case of a cell complex: each
+    nonempty face is stored once as a bitmask over vertex positions (bit
+    ``i`` for ``vertices[i]``), the same packed encoding a hom complex
+    uses with one block per source vertex.  These masks, sorted ascending
+    ("packed order"), are enumerated once and cached; face counts are
+    popcounts over them.
     """
 
-    __slots__ = ("vertices", "facets", "_pos", "_faces")
+    __slots__ = ("vertices", "facets", "_pos", "_masks")
 
     def __init__(self, vertices: Iterable[Hashable], faces: Iterable[Iterable[Hashable]]):
         vs = tuple(vertices)
@@ -63,7 +77,7 @@ class SimplicialComplex:
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "facets", frozenset(facets))
         object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("SimplicialComplex is immutable")
@@ -82,18 +96,26 @@ class SimplicialComplex:
         """Deterministic sort key: positions of the face's vertices."""
         return tuple(sorted(self._pos[v] for v in face))
 
+    def _face_masks(self) -> list[int]:
+        """The nonempty faces as position bitmasks, in ascending order."""
+        if self._masks is None:
+            out: set[int] = set()
+            for f in self.facets:
+                top = _mask_of(self._pos[v] for v in f)
+                sub = top
+                while sub:
+                    out.add(sub)
+                    sub = (sub - 1) & top
+            object.__setattr__(self, "_masks", sorted(out))
+        return self._masks
+
+    def _face(self, mask: int) -> Face:
+        return frozenset(self.vertices[i] for i in _bits(mask))
+
     def faces(self) -> frozenset[Face]:
         """All faces, including the empty face unless the complex is void."""
-        cached = self._faces
-        if cached is None:
-            out: set[Face] = set()
-            for f in self.facets:
-                elems = tuple(f)
-                for k in range(len(elems) + 1):
-                    out.update(map(frozenset, itertools.combinations(elems, k)))
-            cached = frozenset(out)
-            object.__setattr__(self, "_faces", cached)
-        return cached
+        out = frozenset(map(self._face, self._face_masks()))
+        return out if self.is_void else out | {frozenset()}
 
     def has_face(self, face: Iterable[Hashable]) -> bool:
         f = frozenset(face)
@@ -104,18 +126,17 @@ class SimplicialComplex:
 
         Includes the empty face at dimension ``-1`` when present.
         """
-        grouped: dict[int, list[Face]] = {}
-        for f in self.faces():
-            grouped.setdefault(len(f) - 1, []).append(f)
-        return {
-            d: sorted(fs, key=self.face_key) for d, fs in sorted(grouped.items())
-        }
+        grouped: dict[int, list[Face]] = {} if self.is_void else {-1: [frozenset()]}
+        for m in sorted(self._face_masks(), key=_face_order):
+            grouped.setdefault(m.bit_count() - 1, []).append(self._face(m))
+        return grouped
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts of faces in dimensions ``0 .. dim``."""
-        by_dim = self.faces_by_dimension()
-        top = max(by_dim, default=-1)
-        return tuple(len(by_dim.get(d, ())) for d in range(0, top + 1))
+        counts = [0] * (self.dimension() + 1)
+        for m in self._face_masks():
+            counts[m.bit_count() - 1] += 1
+        return tuple(counts)
 
     def dimension(self) -> int:
         """Top dimension; ``-1`` for the empty complex, ``-2`` for void."""
@@ -381,25 +402,17 @@ def face_poset(x: SimplicialComplex, cap: int = DEFAULT_CAP) -> Poset:
     is deterministic.  Raises :class:`SizeCapExceeded` when the number of
     nonempty faces exceeds ``cap``.
     """
-    total = sum(2 ** len(f) for f in x.facets)  # cheap overestimate
-    if total > cap:
-        count = sum(1 for f in x.faces() if f)
-        if count > cap:
-            raise SizeCapExceeded(f"face poset would have {count} elements (cap {cap})")
-    by_dim = x.faces_by_dimension()
-    elems: list[Face] = []
-    for d in sorted(by_dim):
-        if d >= 0:
-            elems.extend(by_dim[d])
-    if len(elems) > cap:
-        raise SizeCapExceeded(f"face poset would have {len(elems)} elements (cap {cap})")
-    covers = []
-    for f in elems:
-        for v in f:
-            sub = f - {v}
-            if sub:
-                covers.append((sub, f))
-    return Poset.from_covers(elems, covers)
+    masks = sorted(x._face_masks(), key=_face_order)
+    if len(masks) > cap:
+        raise SizeCapExceeded(f"face poset would have {len(masks)} elements (cap {cap})")
+    face = {m: x._face(m) for m in masks}
+    covers = [
+        (face[m ^ low], face[m])
+        for m in masks
+        for low in (1 << i for i in _bits(m))
+        if m != low
+    ]
+    return Poset.from_covers(face.values(), covers)
 
 
 def order_complex(p: Poset, cap: int = DEFAULT_CAP) -> SimplicialComplex:

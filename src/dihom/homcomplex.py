@@ -158,19 +158,29 @@ class HomPoset:
     0-cells are still in lexicographic map order.  :class:`MultiHom` is
     only the view at the boundary: :attr:`cells` is built on first use.
     Because the cell set is closed downwards, covering pairs are found
-    structurally: clear one bit of a block that holds at least two.
+    structurally: clear one bit of a block that holds at least two.  The
+    constructor raises :class:`ShapeMismatch` for a cell that is not a
+    multihomomorphism ``source -> target`` or whose face is missing.
     """
 
     __slots__ = ("source", "target", "_width", "_packed", "_index", "_cells")
 
     def __init__(self, source: Digraph, target: Digraph, cells: Iterable[MultiHom]):
         n, w = source.n, max(target.n, 1)
-        packed = set()
+        packed = {}
         for c in cells:
             k = _pack(c.masks, n, w) if isinstance(c, MultiHom) else None
             if k is None:
                 raise ShapeMismatch(f"{c!r} is not a cell of {n} sets in 0..{w - 1}")
-            packed.add(k)
+            if not is_multihom(c, source, target):
+                raise ShapeMismatch(f"{c!r} is not a multihomomorphism")
+            packed[k] = c
+        full = (1 << w) - 1
+        for k, c in packed.items():
+            for b in _bits(k):
+                block = k >> (b - b % w) & full
+                if block & (block - 1) and k ^ 1 << b not in packed:
+                    raise ShapeMismatch(f"{c!r} is in the cells but a face of it is not")
         self._fill(source, target, sorted(packed))
 
     @classmethod

@@ -1,6 +1,12 @@
 """Integral homology via Smith normal form: of simplicial complexes, and of
 hom complexes through their cellular chains.
 
+Both kinds of complex are products of simplices, and one function,
+:func:`_cellular_chains`, builds every boundary matrix.  A hom complex
+cell is a packed int of one vertex-set block per source vertex; a
+simplicial complex is the one-block case, each face a bitmask over the
+complex's vertex positions.
+
 Everything here is *reduced* homology of the augmented chain complex: a
 point has trivial homology everywhere, and the empty complex (whose only
 face is the empty set) has one unit of homology in degree ``-1``.  The
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Poset, SimplicialComplex, order_complex
+from .complexes import Poset, SimplicialComplex, _face_order, order_complex
 from .digraph import DEFAULT_CAP, _bits, _shifts, _unpack
 from .homcomplex import HomPoset
 
@@ -205,73 +211,68 @@ def sphere_homology(n: int) -> HomologyGroups:
 class ChainComplex:
     """The augmented simplicial chain complex of a finite complex.
 
-    Faces within each dimension are sorted by the complex's face keys;
-    boundary matrices carry the usual alternating signs by position, so
-    ``boundary . boundary == 0`` (the test suite checks it).
+    A view over :func:`_cellular_chains` with the complex as one-block
+    cells: within each dimension the faces come in packed order, i.e.
+    ascending by their bitmask over vertex positions (not face-key
+    order), and the empty face is the one cell in dimension ``-1``
+    unless the complex is void.  Boundary matrices carry the usual
+    alternating signs by position, so ``boundary . boundary == 0`` (the
+    test suite checks it).
     """
 
-    __slots__ = ("faces", "_index", "_boundaries")
+    __slots__ = ("_x", "_ranks", "_boundaries")
 
     def __init__(self, x: SimplicialComplex):
-        by_dim = x.faces_by_dimension()
-        faces = {d: list(fs) for d, fs in by_dim.items()}
-        index = {
-            d: {f: i for i, f in enumerate(fs)} for d, fs in faces.items()
-        }
-        # boundary[d]: column j (a d-face) -> list of (row, sign)
-        boundaries: dict[int, list[list[tuple[int, int]]]] = {}
-        for d, fs in faces.items():
-            if d - 1 not in faces:
-                continue
-            lower = index[d - 1]
-            cols = []
-            for f in fs:
-                ordered = sorted(f, key=lambda v: x.face_key(frozenset((v,))))
-                col = []
-                for i, v in enumerate(ordered):
-                    col.append((lower[f - {v}], -1 if i % 2 else 1))
-                cols.append(col)
-            boundaries[d] = cols
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "_index", index)
+        ranks, boundaries = _simplicial_chains(x)
+        object.__setattr__(self, "_x", x)
+        object.__setattr__(self, "_ranks", ranks)
         object.__setattr__(self, "_boundaries", boundaries)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("ChainComplex is immutable")
 
+    @property
+    def faces(self) -> dict[int, list[frozenset]]:
+        """The faces of each dimension, in row and column order."""
+        x = self._x
+        out: dict[int, list[frozenset]] = {} if x.is_void else {-1: [frozenset()]}
+        for m in x._face_masks():
+            out.setdefault(m.bit_count() - 1, []).append(x._face(m))
+        return out
+
     def dimensions(self) -> list[int]:
-        return sorted(self.faces)
+        return sorted(self._ranks)
 
     def rank(self, d: int) -> int:
-        return len(self.faces.get(d, ()))
+        return self._ranks.get(d, 0)
 
     def boundary_matrix(self, d: int) -> list[list[int]]:
         """Dense boundary matrix from ``d``-chains to ``(d-1)``-chains."""
-        rows = self.rank(d - 1)
-        cols = self._boundaries.get(d)
-        if cols is None:
-            return [[0] * self.rank(d) for _ in range(rows)]
-        m = [[0] * len(cols) for _ in range(rows)]
-        for j, col in enumerate(cols):
-            for r, s in col:
+        m = [[0] * self.rank(d) for _ in range(self.rank(d - 1))]
+        for r, row in self._boundaries.get(d, {}).items():
+            for j, s in row.items():
                 m[r][j] = s
         return m
 
     def boundary_sparse(self, d: int) -> dict[int, dict[int, int]]:
-        rows: dict[int, dict[int, int]] = {}
-        for j, col in enumerate(self._boundaries.get(d, ())):
-            for r, s in col:
-                rows.setdefault(r, {})[j] = s
-        return rows
+        """Sparse boundary matrix ``{row: {column: entry}}``, a fresh copy."""
+        return {r: dict(row) for r, row in self._boundaries.get(d, {}).items()}
+
+
+def _simplicial_chains(
+    x: SimplicialComplex,
+) -> tuple[dict[int, int], dict[int, dict[int, dict[int, int]]]]:
+    """The augmented chain complex of ``x``: its faces are cells of one
+    block, so :func:`_cellular_chains` builds it.  The void complex, which
+    lacks even the empty face, has no cells."""
+    if x.is_void:
+        return {}, {}
+    return _cellular_chains(x._face_masks(), 1, max(len(x.vertices), 1))
 
 
 def reduced_homology(x: SimplicialComplex) -> HomologyGroups:
     """Reduced integral homology of a simplicial complex."""
-    cc = ChainComplex(x)
-    return _homology(
-        {d: cc.rank(d) for d in cc.dimensions()},
-        {d: cc.boundary_sparse(d) for d in cc.dimensions()},
-    )
+    return _homology(*_simplicial_chains(x))
 
 
 def _homology(
@@ -295,6 +296,8 @@ def _cellular_chains(
 ) -> tuple[dict[int, int], dict[int, dict[int, dict[int, int]]]]:
     """Cell counts and boundary matrices of the augmented cellular chain
     complex of a hom complex, from its packed cells of ``n`` ``w``-bit blocks.
+    A simplicial complex is the case ``n == 1``: a face is one block, the
+    bitmask of its vertex positions.
 
     A cell is the product of one simplex per source vertex, spanned by that
     vertex's assignment set in increasing order.  Dropping member ``x`` of
@@ -374,11 +377,19 @@ class LerayCertificate:
 
 def is_n_leray(x: SimplicialComplex, n: int) -> LerayCertificate:
     """Check that every link (the empty face included, so the complex
-    itself too) has trivial reduced homology in degrees ``>= n``."""
-    order = sorted(x.faces(), key=lambda f: (len(f), x.face_key(f)))
-    for face in order:
-        h = reduced_homology(x.link(face))
-        for d in h.degrees():
+    itself too) has trivial reduced homology in degrees ``>= n``.
+
+    Faces are visited by dimension, then by face key, and the first
+    failing one is the witness.  The link of face ``f`` is read off the
+    face masks as ``{g ^ f : g ⊋ f}`` and goes straight to the chains.
+    """
+    if x.is_void:
+        return LerayCertificate(True)
+    masks = x._face_masks()
+    w = max(len(x.vertices), 1)
+    for f in [0, *sorted(masks, key=_face_order)]:
+        link = [g ^ f for g in masks if g & f == f and g != f]
+        for d in _homology(*_cellular_chains(link, 1, w)).degrees():
             if d >= n:
-                return LerayCertificate(False, face, d)
+                return LerayCertificate(False, x._face(f), d)
     return LerayCertificate(True)

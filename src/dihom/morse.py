@@ -249,14 +249,6 @@ class _FacetComplex:
             if self.count.get(delta, 0) == 0:
                 self.add_facet(delta)
 
-    def remove_top_cell(self, sigma: frozenset) -> None:
-        """Delete just the facet ``sigma``, keeping its boundary."""
-        self.remove_facet(sigma)
-        for t in sigma:
-            delta = sigma - {t}
-            if self.count.get(delta, 0) == 0:
-                self.add_facet(delta)
-
     def to_complex(self, vertices: Sequence) -> SimplicialComplex:
         return SimplicialComplex(vertices, self.facets)
 
@@ -360,5 +352,5 @@ def random_discrete_morse(x: SimplicialComplex, seed: int) -> tuple[int, ...]:
         tops = sorted((f for f in work.facets if len(f) - 1 == dim), key=work.key)
         sigma = rng.choice(tops)
         counts[dim] += 1
-        work.remove_top_cell(sigma)
+        work.collapse(sigma, sigma)  # just the facet; its boundary stays
     return tuple(counts)

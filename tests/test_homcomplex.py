@@ -196,6 +196,14 @@ class TestHomPoset:
             HomPoset(g, h, [MultiHom([{0}, {1, 4}])])
         with pytest.raises(ShapeMismatch):
             HomPoset(g, h, [MultiHom([{0}])])
+        # not a multihomomorphism: the edge 0 -> 1 has no image
+        with pytest.raises(ShapeMismatch):
+            HomPoset(Digraph(2, [(0, 1)]), Digraph(2), [MultiHom([{0}, {1}])])
+        # not closed under dropping a member: {0} and {1} are missing
+        with pytest.raises(ShapeMismatch):
+            HomPoset(Digraph(1), Digraph(2), [MultiHom([{0, 1}])])
+        closed = [MultiHom([{0}]), MultiHom([{1}]), MultiHom([{0, 1}])]
+        assert len(HomPoset(Digraph(1), Digraph(2), closed)) == 3
 
     @settings(max_examples=80, deadline=None)
     @given(digraphs(3), digraphs(4))

@@ -29,9 +29,10 @@ from dihom import (
     simplex_boundary,
     smith_normal_form,
     sphere_homology,
+    sphere_tournament,
     void_complex,
 )
-from dihom.homology import _cellular_chains
+from dihom.homology import _cellular_chains, _homology
 
 from conftest import digraphs, edge_cases, pentagon_tournament, random_digraph
 
@@ -77,6 +78,52 @@ def invariant_factors_via_minors(matrix: list[list[int]]) -> tuple[int, ...]:
         factors.append(d // previous)
         previous = d
     return tuple(factors)
+
+
+def reference_homology(x: SimplicialComplex) -> HomologyGroups:
+    """Reduced homology from simplicial chains built the textbook way.
+
+    Faces are position-sorted tuples from ``itertools.combinations`` over
+    each facet; dropping the ``i``-th vertex has sign ``(-1)^i``.  Shares
+    only the Smith normal form with the library, so it is the oracle for
+    the library's one chain builder.
+    """
+    if x.is_void:
+        return HomologyGroups()
+    pos = {v: i for i, v in enumerate(x.vertices)}
+    faces: set[tuple] = set()
+    for f in x.facets:
+        ordered = sorted(f, key=pos.__getitem__)
+        for k in range(len(ordered) + 1):
+            faces.update(itertools.combinations(ordered, k))
+    index: dict[int, dict[tuple, int]] = {}
+    for f in faces:
+        level = index.setdefault(len(f) - 1, {})
+        level[f] = len(level)
+    boundaries: dict[int, dict[int, dict[int, int]]] = {}
+    for d, level in index.items():
+        if d < 0:
+            continue
+        rows = boundaries[d] = {}
+        for f, j in level.items():
+            for i in range(len(f)):
+                rows.setdefault(index[d - 1][f[:i] + f[i + 1:]], {})[j] = (-1) ** i
+    return _homology({d: len(level) for d, level in index.items()}, boundaries)
+
+
+def reference_leray_failures(x: SimplicialComplex) -> list[tuple[frozenset, list[int]]]:
+    """Each face in ``(dimension, face key)`` order with the degrees where
+    the homology of its link (built by ``x.link``) is nonzero."""
+    order = sorted(x.faces(), key=lambda f: (len(f), x.face_key(f)))
+    return [(f, reference_homology(x.link(f)).degrees()) for f in order]
+
+
+@st.composite
+def complexes(draw, max_vertices: int = 7) -> SimplicialComplex:
+    """Random complexes whose vertex order differs from label order."""
+    labels = draw(st.permutations(range(draw(st.integers(0, max_vertices)))))
+    face = st.frozensets(st.sampled_from(labels)) if labels else st.just(frozenset())
+    return SimplicialComplex(labels, draw(st.lists(face, max_size=6)))
 
 
 small_matrices = st.integers(1, 3).flatmap(
@@ -194,6 +241,27 @@ class TestReducedHomology:
         x = SimplicialComplex(range(6), faces)
         assert reduced_homology(x) == HomologyGroups({0: 1, 1: 2}, {})
 
+    @settings(max_examples=200, deadline=None)
+    @given(complexes())
+    @example(void_complex())
+    @example(empty_complex())
+    @example(full_simplex(0))
+    @example(SimplicialComplex(range(1, 7), [
+        (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ]))
+    def test_homology_and_leray_match_reference(self, x):
+        assert reduced_homology(x) == reference_homology(x)
+        failures = reference_leray_failures(x)
+        for n in range(4):
+            cert = is_n_leray(x, n)
+            witness = next(
+                ((f, d) for f, degrees in failures for d in degrees if d >= n), None
+            )
+            assert cert.holds == (witness is None)
+            if witness is not None:
+                assert (cert.witness_face, cert.witness_degree) == witness
+
 
 def assert_boundary_squares_to_zero(cc: ChainComplex) -> None:
     assert_squares_to_zero({d: cc.boundary_sparse(d) for d in cc.dimensions()})
@@ -218,6 +286,21 @@ class TestChainComplex:
         for col in range(3):
             entries = sorted(d1[row][col] for row in range(3))
             assert entries == [-1, 0, 1]
+
+    def test_faces_in_packed_order_and_fresh_boundaries(self):
+        x = SimplicialComplex("abc", ["ab", "bc", "ac"])
+        cc = ChainComplex(x)
+        fs = frozenset
+        assert cc.faces == {
+            -1: [fs()],
+            0: [fs("a"), fs("b"), fs("c")],
+            1: [fs("ab"), fs("ac"), fs("bc")],
+        }
+        assert cc.dimensions() == [-1, 0, 1]
+        assert [cc.rank(d) for d in (-2, -1, 0, 1, 2)] == [0, 1, 3, 3, 0]
+        cc.boundary_sparse(1).clear()
+        assert sum(map(len, cc.boundary_sparse(1).values())) == 6
+        assert ChainComplex(void_complex()).dimensions() == []
 
     def test_boundary_squares_to_zero(self):
         cc = ChainComplex(full_simplex(3))
@@ -248,7 +331,8 @@ class TestChainComplex:
 
 class TestCellularHomology:
     """A hom poset's homology comes from the cellular chains of the hom
-    complex; the order complex of the same poset is the oracle."""
+    complex; the order complex of the same poset, through the reference
+    simplicial chains, is the oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(digraphs(3), digraphs(4))
@@ -258,7 +342,7 @@ class TestCellularHomology:
     def test_matches_order_complex(self, g, h):
         try:
             p = hom_poset(g, h, cap=120)
-            oracle = reduced_homology(order_complex(p.as_poset(), cap=4000))
+            oracle = reference_homology(order_complex(p.as_poset(), cap=4000))
         except SizeCapExceeded:
             return
         assert homology_of_poset(p) == oracle
@@ -318,6 +402,23 @@ class TestLeray:
         x = SimplicialComplex(range(5), [[0, 1, 2], [0, 3, 4]])
         assert bool(is_n_leray(x, 1))
         assert not is_n_leray(x, 0)
+
+    def test_builds_no_link_and_no_chain_complex(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(SimplicialComplex, "link", counting("link", SimplicialComplex.link))
+        monkeypatch.setattr(dihom.homology, "ChainComplex", counting("ChainComplex", ChainComplex))
+        x = out_neighborhood_complex(sphere_tournament(2))
+        # n = 3 holds, so every face's link is examined.
+        assert bool(is_n_leray(x, 3))
+        assert calls == []
 
     def test_circle_complex(self):
         from dihom import out_neighborhood_complex, sphere_tournament
