@@ -28,7 +28,7 @@ import itertools
 from typing import Hashable, Iterable
 
 from . import _graph
-from .digraph import DEFAULT_CAP, Digraph, _bits, _mask_of
+from .digraph import DEFAULT_CAP, Digraph, _bits, _faces, _mask_of
 from .errors import (
     EmptyComplex,
     FaceNotInComplex,
@@ -71,9 +71,21 @@ class SimplicialComplex:
             for v in f:
                 if v not in pos:
                     raise InvalidVertex(f"face {set(f)} mentions unknown vertex {v!r}")
-        facets = {
-            f for f in candidates if not any(f < g for g in candidates)
-        }
+        # A generator is a facet when no other one holds all its vertices:
+        # the AND over its vertices of their holders' bitsets is its own bit.
+        gens = list(candidates)
+        holders: dict[Hashable, int] = {}
+        for k, f in enumerate(gens):
+            for v in f:
+                holders[v] = holders.get(v, 0) | 1 << k
+        everyone = (1 << len(gens)) - 1
+        facets = []
+        for k, f in enumerate(gens):
+            common = everyone
+            for v in f:
+                common &= holders[v]
+            if common == 1 << k:
+                facets.append(f)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "facets", frozenset(facets))
         object.__setattr__(self, "_pos", pos)
@@ -291,6 +303,10 @@ class Poset:
     def index(self, x: Hashable) -> int:
         return self._pos[x]
 
+    def _find(self, x: Hashable) -> int | None:
+        """The index of ``x``, or ``None`` when it is not an element."""
+        return self._pos.get(x)
+
     def lt(self, a: Hashable, b: Hashable) -> bool:
         return bool(self._up[self._pos[a]] >> self._pos[b] & 1)
 
@@ -400,18 +416,18 @@ def face_poset(x: SimplicialComplex, cap: int = DEFAULT_CAP) -> Poset:
 
     Faces are listed by dimension, then by face key, so the element order
     is deterministic.  Raises :class:`SizeCapExceeded` when the number of
-    nonempty faces exceeds ``cap``.
+    nonempty faces exceeds ``cap``, before enumerating any face when one
+    facet alone has more than ``cap`` nonempty faces.
     """
+    largest = 2 ** max(map(len, x.facets), default=0) - 1
+    if largest > cap:
+        raise SizeCapExceeded(f"a facet has {largest} nonempty faces (cap {cap})")
     masks = sorted(x._face_masks(), key=_face_order)
     if len(masks) > cap:
         raise SizeCapExceeded(f"face poset would have {len(masks)} elements (cap {cap})")
     face = {m: x._face(m) for m in masks}
-    covers = [
-        (face[m ^ low], face[m])
-        for m in masks
-        for low in (1 << i for i in _bits(m))
-        if m != low
-    ]
+    faces = _faces(masks, 1, max(len(x.vertices), 1))
+    covers = [(face[f], face[m]) for m, fs in zip(masks, faces) for f in fs]
     return Poset.from_covers(face.values(), covers)
 
 

@@ -369,6 +369,27 @@ def _unpack(cells: Iterable[int], n: int, w: int) -> Iterator[tuple[int, ...]]:
         yield tuple([c >> s & full for s in shifts])
 
 
+def _faces(cells: Iterable[int], n: int, w: int) -> Iterator[list[int]]:
+    """The faces of each of ``cells``: drop one member of a block that
+    holds two or more, blocks in vertex order and members ascending.
+
+    This is the one face rule of a cell (a product of simplices).  A
+    simplicial complex is the case ``n == 1``, a face's bitmask as one
+    block."""
+    full = (1 << w) - 1
+    shifts = _shifts(n, w)
+    for c in cells:
+        out = []
+        for s in shifts:
+            m = c >> s & full
+            if m & (m - 1):
+                while m:
+                    low = m & -m
+                    out.append(c ^ low << s)
+                    m ^= low
+        yield out
+
+
 def _decode_maps(cells: Iterable[int], n: int, w: int) -> list[VertexMap]:
     """The vertex maps of the 0-cells ``cells``."""
     return [VertexMap(m.bit_length() - 1 for m in c) for c in _unpack(cells, n, w)]

@@ -31,9 +31,9 @@ from .digraph import (
     VertexMap,
     _bits,
     _decode_maps,
+    _faces,
     _multihoms,
     _pack,
-    _shifts,
     _unpack,
 )
 from .errors import EmptyComplex, InvalidRange, ShapeMismatch, SizeCapExceeded
@@ -157,8 +157,10 @@ class HomPoset:
     not :meth:`MultiHom.key` order (``{0, 1}`` comes after ``{1}``).  The
     0-cells are still in lexicographic map order.  :class:`MultiHom` is
     only the view at the boundary: :attr:`cells` is built on first use.
-    Because the cell set is closed downwards, covering pairs are found
-    structurally: clear one bit of a block that holds at least two.  The
+    A cell's faces come from :func:`digraph._faces` (drop one member of
+    a block that holds two or more), the same rule the chain complex,
+    the one-skeleton and the Morse check use; because the cell set is
+    closed downwards, the covers are exactly the faces of each cell.  The
     constructor raises :class:`ShapeMismatch` for a cell that is not a
     multihomomorphism ``source -> target`` or whose face is missing.
     """
@@ -175,12 +177,9 @@ class HomPoset:
             if not is_multihom(c, source, target):
                 raise ShapeMismatch(f"{c!r} is not a multihomomorphism")
             packed[k] = c
-        full = (1 << w) - 1
-        for k, c in packed.items():
-            for b in _bits(k):
-                block = k >> (b - b % w) & full
-                if block & (block - 1) and k ^ 1 << b not in packed:
-                    raise ShapeMismatch(f"{c!r} is in the cells but a face of it is not")
+        for c, faces in zip(packed.values(), _faces(packed, n, w)):
+            if not all(f in packed for f in faces):
+                raise ShapeMismatch(f"{c!r} is in the cells but a face of it is not")
         self._fill(source, target, sorted(packed))
 
     @classmethod
@@ -233,12 +232,6 @@ class HomPoset:
             raise KeyError(cell)
         return i
 
-    def _is_cover(self, i: int, j: int) -> bool:
-        """Is cell ``i`` cell ``j`` minus one member?  That is: one bit
-        apart, and ``j`` holds the bit."""
-        d = self._packed[i] ^ self._packed[j]
-        return d.bit_count() == 1 and self._packed[j] & d != 0
-
     def leq(self, a: MultiHom, b: MultiHom) -> bool:
         return a.leq(b)
 
@@ -257,22 +250,8 @@ class HomPoset:
     def covering_index_pairs(self) -> list[tuple[int, int]]:
         """All covers ``(i, j)``: cell ``i`` is cell ``j`` minus one member."""
         index = self._index
-        n, w = self.source.n, self._width
-        full = (1 << w) - 1
-        shifts = _shifts(n, w)
-        out = []
-        append = out.append
-        for j, c in enumerate(self._packed):
-            if c.bit_count() == n:
-                continue
-            for s in shifts:
-                m = c >> s & full
-                if m & (m - 1):
-                    while m:
-                        low = m & -m
-                        append((index[c ^ low << s], j))
-                        m ^= low
-        return out
+        faces = _faces(self._packed, self.source.n, self._width)
+        return [(index[f], j) for j, fs in enumerate(faces) for f in fs]
 
     def dimension_census(self) -> dict[int, int]:
         n = self.source.n
@@ -374,8 +353,8 @@ def hom_one_skeleton(g: Digraph, h: Digraph) -> HomSkeleton:
 
 def _skeleton(cells: list[int], n: int, w: int) -> HomSkeleton:
     """The one-skeleton of a downward-closed set of cells of ``n`` blocks
-    of ``w`` bits: each 1-cell joins the 0-cells that drop one bit of its
-    doubled block (dropping any other bit would empty a block)."""
+    of ``w`` bits: each 1-cell joins its two faces, the 0-cells that drop
+    one member of its doubled block."""
     index: dict[int, int] = {}
     doubled = []
     for c in cells:
@@ -384,9 +363,7 @@ def _skeleton(cells: list[int], n: int, w: int) -> HomSkeleton:
             index[c] = len(index)
         elif dim == 1:
             doubled.append(c)
-    edges = []
-    for c in doubled:
-        edges.append([index[c ^ 1 << b] for b in _bits(c) if c ^ 1 << b in index])
+    edges = [[index[f] for f in faces] for faces in _faces(doubled, n, w)]
     maps = _decode_maps(index, n, w)
     return HomSkeleton(maps, edges)
 

@@ -5,7 +5,11 @@ Both kinds of complex are products of simplices, and one function,
 :func:`_cellular_chains`, builds every boundary matrix.  A hom complex
 cell is a packed int of one vertex-set block per source vertex; a
 simplicial complex is the one-block case, each face a bitmask over the
-complex's vertex positions.
+complex's vertex positions.  A cell's faces drop one member of a block
+that holds two or more, and dropping member bit ``b`` of cell ``c`` has
+sign ``(-1)^popcount(c & ((1 << b) - 1))``, the simplicial sign of the
+cell's members in ascending bit order; for a simplex that is the usual
+sign by position.
 
 Everything here is *reduced* homology of the augmented chain complex: a
 point has trivial homology everywhere, and the empty complex (whose only
@@ -23,7 +27,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Poset, SimplicialComplex, _face_order, order_complex
-from .digraph import DEFAULT_CAP, _bits, _shifts, _unpack
+from .digraph import DEFAULT_CAP, _faces
 from .homcomplex import HomPoset
 
 
@@ -299,12 +303,17 @@ def _cellular_chains(
     A simplicial complex is the case ``n == 1``: a face is one block, the
     bitmask of its vertex positions.
 
-    A cell is the product of one simplex per source vertex, spanned by that
-    vertex's assignment set in increasing order.  Dropping member ``x`` of
-    ``a(v)`` gives a facet with sign ``(-1)^(sum_{u<v} (|a(u)|-1) + i)``,
-    ``i`` the position of ``x`` in ``a(v)``; every 0-cell has boundary
-    ``1 * ()``, the augmentation cell in degree ``-1``.  The cell set must
-    be closed under dropping members.
+    The facets of a cell are its faces under :func:`digraph._faces`.
+    Dropping member bit ``b`` from cell ``c`` has sign
+    ``(-1)^popcount(c & ((1 << b) - 1))``: the simplicial sign of the
+    cell's members in ascending bit order.  For one block that is the
+    usual sign by position.  For a product of simplices it is still an
+    incidence function of the regular CW complex (every entry is ±1,
+    ``∂∂ = 0``, the two ends of an edge get opposite signs), so the
+    homology is the cellular homology (Massey, *A Basic Course in
+    Algebraic Topology*, ch. IX).  Every 0-cell has boundary ``1 * ()``,
+    the augmentation cell in degree ``-1``.  The cell set must be closed
+    under dropping members.
     """
     index: dict[int, dict[int, int]] = {-1: {-1: 0}}  # the augmentation cell
     for c in cells:
@@ -313,20 +322,15 @@ def _cellular_chains(
     boundaries: dict[int, dict[int, dict[int, int]]] = {}
     if 0 in index:
         boundaries[0] = {0: dict.fromkeys(range(len(index[0])), 1)}
-    shifts = _shifts(n, w)
     for d, level in index.items():
         if d < 1:
             continue
         lower = index[d - 1]
         rows = boundaries[d] = {}
-        for (c, j), masks in zip(level.items(), _unpack(level, n, w)):
-            sign = 0
-            for m, s in zip(masks, shifts):
-                if m & (m - 1):
-                    for i, x in enumerate(_bits(m), sign):
-                        face = c ^ 1 << (x + s)
-                        rows.setdefault(lower[face], {})[j] = -1 if i & 1 else 1
-                    sign += m.bit_count() - 1
+        for (c, j), faces in zip(level.items(), _faces(level, n, w)):
+            for f in faces:
+                below = c & (c ^ f) - 1
+                rows.setdefault(lower[f], {})[j] = -1 if below.bit_count() & 1 else 1
     return {d: len(level) for d, level in index.items()}, boundaries
 
 

@@ -69,32 +69,27 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     Raises :class:`InvalidMatching` when a pair is not a covering relation,
     an element is matched twice, or pairs and critical cells fail to
     partition the poset.  Returns ``False`` exactly when the modified Hasse
-    diagram has a directed cycle.
+    diagram has a directed cycle.  A :class:`Poset` and a
+    :class:`HomPoset` take the same path, through their covers.
     """
-    covers = p.covering_index_pairs()
-    if isinstance(p, HomPoset):
-        # Covers of a hom poset are tested on the packed cells, so the
-        # (many) covers need no set.
-        locate, is_cover = p._find, p._is_cover
-    else:
-        locate = {x: i for i, x in enumerate(p.elements)}.get
-        cover_set = set(covers)
-
-        def is_cover(i: int, j: int) -> bool:
-            return (i, j) in cover_set
-
-    matched_up: dict[int, int] = {}
+    locate = p._find
+    # Lower covers of each cell; after the flips below they are the
+    # successor lists of the modified Hasse diagram.
+    succ: list[list[int]] = [[] for _ in range(len(p))]
+    for i, j in p.covering_index_pairs():
+        succ[j].append(i)
+    matched = []
     used: set[int] = set()
     for a, b in m.pairs:
         ia, ib = locate(a), locate(b)
         if ia is None or ib is None:
             raise InvalidMatching(f"pair ({a!r}, {b!r}) mentions unknown cells")
-        if not is_cover(ia, ib):
+        if ia not in succ[ib]:
             raise InvalidMatching(f"({a!r}, {b!r}) is not a covering pair")
         if ia in used or ib in used:
             raise InvalidMatching("a cell appears in two pairs")
         used.update((ia, ib))
-        matched_up[ia] = ib
+        matched.append((ia, ib))
     crit = set()
     for c in m.critical:
         ic = locate(c)
@@ -107,12 +102,9 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
         raise InvalidMatching("pairs and critical cells do not partition the poset")
 
     # Modified Hasse diagram: matched covers point up, the rest point down.
-    succ: list[list[int]] = [[] for _ in range(len(p))]
-    for i, j in covers:
-        if matched_up.get(i) == j:
-            succ[i].append(j)
-        else:
-            succ[j].append(i)
+    for i, j in matched:
+        succ[j].remove(i)
+        succ[i].append(j)
     return _graph.topological_order(succ) is not None
 
 

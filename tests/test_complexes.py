@@ -2,6 +2,8 @@ from __future__ import annotations
 
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dihom import (
     Digraph,
@@ -16,6 +18,7 @@ from dihom import (
     empty_complex,
     face_poset,
     full_simplex,
+    hom_poset,
     in_neighborhood_complex,
     order_complex,
     out_neighborhood_complex,
@@ -42,6 +45,19 @@ class TestSimplicialComplex:
     def test_dominated_generators_are_absorbed(self):
         x = SimplicialComplex(range(3), [[0, 1], [0], [0, 1]])
         assert x.f_vector() == (2, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=10))
+    @example([])
+    @example([[]])
+    @example([[], []])
+    @example([[], [3]])
+    @example([[0, 1], [1, 0], [1]])
+    @example([[0], [0, 1], [0, 1, 2], [2], [0, 1, 2]])
+    def test_facets_are_the_generators_nothing_else_contains(self, gens):
+        sets = {frozenset(f) for f in gens}
+        expected = {f for f in sets if not any(f < g for g in sets)}
+        assert SimplicialComplex(range(6), gens).facets == expected
 
     def test_f_vector_dimension_euler(self):
         x = simplex_boundary(2)
@@ -138,6 +154,19 @@ class TestFaceAndOrderComplexes:
         assert len(p) == 6  # empty face excluded
         assert len(p.covering_index_pairs()) == 6
 
+    def test_face_poset_cap(self):
+        with pytest.raises(SizeCapExceeded):
+            face_poset(simplex_boundary(3), cap=13)  # 14 faces, 7 per facet
+        assert len(face_poset(simplex_boundary(3), cap=14)) == 14
+
+    def test_face_poset_cap_on_one_facet_enumerates_nothing(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("faces enumerated")
+
+        monkeypatch.setattr(SimplicialComplex, "_face_masks", fail)
+        with pytest.raises(SizeCapExceeded):
+            face_poset(full_simplex(40), cap=10)
+
     def test_order_complex_of_face_poset_is_barycentric(self):
         oc = order_complex(face_poset(simplex_boundary(2)))
         assert oc.f_vector() == (6, 6)  # hexagon
@@ -154,6 +183,13 @@ class TestFaceAndOrderComplexes:
     def test_order_complex_of_empty_poset(self):
         p = Poset([], [])
         assert order_complex(p).is_empty
+
+    def test_order_complex_of_a_large_hom_poset(self):
+        # 30,240 maximal chains, all of them facets.
+        p = hom_poset(Digraph(3, [(0, 1), (1, 2)]), transitive_tournament(8))
+        x = order_complex(p.as_poset())
+        assert len(x.facets) == 30240
+        assert {len(f) for f in x.facets} == {6}
 
     def test_order_complex_cap(self):
         chain = Poset.from_covers(range(12), [(i, i + 1) for i in range(11)])

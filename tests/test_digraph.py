@@ -33,7 +33,7 @@ from dihom import (
     transitive_tournament,
     underlying_symmetrization,
 )
-from dihom.digraph import _arrows, _multihoms, _unpack
+from dihom.digraph import _arrows, _faces, _multihoms, _unpack
 from conftest import brute_force_homs, digraphs, edge_cases, random_digraph
 
 
@@ -295,6 +295,15 @@ class TestMultihomSearch:
             for f in maps
         ]
         assert _arrows(g, h, maps) == expected
+
+    def test_faces_drop_one_member_of_a_doubled_block(self):
+        # Two 3-bit blocks, vertex 0 high: [{1, 2}, {0, 1}] and [{2}, {0}].
+        assert list(_faces([0b110_011, 0b100_001], 2, 3)) == [
+            [0b100_011, 0b010_011, 0b110_010, 0b110_001],
+            [],
+        ]
+        # One block is a simplex: its facets, members dropped in ascending order.
+        assert list(_faces([0b1011, 0b1000], 1, 4)) == [[0b1010, 0b1001, 0b0011], []]
 
 
 class TestBipartiteDetection:

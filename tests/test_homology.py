@@ -302,6 +302,11 @@ class TestChainComplex:
         assert sum(map(len, cc.boundary_sparse(1).values())) == 6
         assert ChainComplex(void_complex()).dimensions() == []
 
+    def test_one_block_signs_are_by_position(self):
+        cc = ChainComplex(full_simplex(2))
+        assert cc.boundary_matrix(1) == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+        assert cc.boundary_matrix(2) == [[1], [-1], [1]]
+
     def test_boundary_squares_to_zero(self):
         cc = ChainComplex(full_simplex(3))
         d2 = cc.boundary_matrix(2)
@@ -358,6 +363,10 @@ class TestCellularHomology:
         ranks, boundaries = _cellular_chains(p._packed, g.n, max(h.n, 1))
         assert ranks == {-1: 1, **p.dimension_census()}
         assert_squares_to_zero(boundaries)
+        # An incidence function: one entry of ±1 per face of each cell.
+        entries = [s for b in boundaries.values() for row in b.values() for s in row.values()]
+        assert set(entries) <= {-1, 1}
+        assert len(entries) == len(p.covering_index_pairs()) + ranks.get(0, 0)
 
     def test_builds_no_covers_and_no_order_complex(self, monkeypatch):
         def fail(*args, **kwargs):

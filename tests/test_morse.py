@@ -206,6 +206,49 @@ def _greedy_matching(p, rnd):
     return Matching(pairs, [c for k, c in enumerate(cells) if k not in used])
 
 
+def _oracle(p, m):
+    """The verdict of ``is_acyclic_matching`` by brute force: covers are
+    the pairs one dimension apart under ``leq``, and the modified Hasse
+    diagram is searched for a cycle by peeling cells with no arrow in.
+    ``"invalid"`` when ``m`` is not a matching that partitions ``p``."""
+    cells = list(p)
+    pos = {c: i for i, c in enumerate(cells)}
+    covers = {
+        (pos[a], pos[b])
+        for a in cells
+        for b in cells
+        if b.dimension() == a.dimension() + 1 and a.leq(b)
+    }
+    up = set()
+    for a, b in m.pairs:
+        if (pos.get(a), pos.get(b)) not in covers:
+            return "invalid"
+        up.add((pos[a], pos[b]))
+    seen = [pos.get(c) for c in m.critical] + [i for pair in up for i in pair]
+    if len(up) != len(m.pairs) or len(seen) != len(cells) or set(seen) != set(pos.values()):
+        return "invalid"
+    arrows = {(i, j) if (i, j) in up else (j, i) for i, j in covers}
+    live = set(range(len(cells)))
+    while live:
+        sources = {i for i in live if not any((k, i) in arrows for k in live)}
+        if not sources:
+            return False
+        live -= sources
+    return True
+
+
+def _check_against_oracle(p, m):
+    """``m`` on the hom poset ``p`` and on its plain :class:`Poset` gets
+    the oracle's verdict."""
+    expected = _oracle(p, m)
+    for q in (p, p.as_poset()):
+        if expected == "invalid":
+            with pytest.raises(InvalidMatching):
+                is_acyclic_matching(q, m)
+        else:
+            assert is_acyclic_matching(q, m) is expected
+
+
 dags = digraphs(4).map(lambda g: Digraph(g.n, [(u, v) for u, v in g.edges if u < v]))
 
 
@@ -246,6 +289,42 @@ class TestPackedMatchingCheck:
         assert _verdict(p, m) == _verdict(q, m)
         for bad in _perturbations(p, m):
             assert _verdict(p, bad) == _verdict(q, bad)
+
+
+class TestMatchingCheckOracle:
+    """Both poset types go through one matching check; a brute-force
+    oracle over ``leq`` is the independent reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dags, st.integers(1, 4))
+    @example(Digraph(2), 2)
+    @example(Digraph(3, [(0, 1), (1, 2)]), 3)
+    def test_tournament_matchings(self, g, n):
+        p = hom_poset(g, transitive_tournament(n))
+        if not len(p) or len(p) > 150:
+            return
+        m = tournament_matching(g, n, poset=p)
+        assert _oracle(p, m) is True
+        for bad in [m, *_perturbations(p, m)]:
+            _check_against_oracle(p, bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(3), digraphs(3))
+    @edge_cases
+    def test_greedy_matchings(self, g, h):
+        p = hom_poset(g, h)
+        if len(p) > 150:
+            return
+        m = _greedy_matching(p, random.Random(len(p)))
+        for bad in [m, *_perturbations(p, m)]:
+            _check_against_oracle(p, bad)
+
+    def test_rotating_triangle_matching_has_a_cycle(self):
+        p = hom_poset(Digraph(1), Digraph(3))  # a full triangle
+        pairs = [(MultiHom([{i}]), MultiHom([{i, (i + 1) % 3}])) for i in range(3)]
+        m = Matching(pairs, [MultiHom([{0, 1, 2}])])
+        assert _oracle(p, m) is False
+        _check_against_oracle(p, m)
 
 
 class TestCollapseFreePairs:
