@@ -350,7 +350,7 @@ def _cmd_morse(ns: argparse.Namespace) -> Any:
     matching = tournament_matching(g, ns.n, ns.cap, poset=p)
     return {
         "cells": len(p),
-        "pairs": len(matching.pairs),
+        "pairs": matching._sizes()[0],
         "critical": [
             [sorted(s) for s in c.assignments] for c in matching.critical
         ],

@@ -108,8 +108,12 @@ class SimplicialComplex:
         """Deterministic sort key: positions of the face's vertices."""
         return tuple(sorted(self._pos[v] for v in face))
 
-    def _face_masks(self) -> list[int]:
-        """The nonempty faces as position bitmasks, in ascending order."""
+    def _face_masks(self, cap: int | None = None) -> list[int]:
+        """The nonempty faces as position bitmasks, in ascending order.
+
+        With ``cap`` set, raises :class:`SizeCapExceeded` once the running
+        count of distinct faces passes ``cap``, checked after each facet;
+        the masks are cached only when every face has been found."""
         if self._masks is None:
             out: set[int] = set()
             for f in self.facets:
@@ -118,7 +122,13 @@ class SimplicialComplex:
                 while sub:
                     out.add(sub)
                     sub = (sub - 1) & top
+                if cap is not None and len(out) > cap:
+                    raise SizeCapExceeded(f"face poset would have over {cap} elements")
             object.__setattr__(self, "_masks", sorted(out))
+        elif cap is not None and len(self._masks) > cap:
+            raise SizeCapExceeded(
+                f"face poset would have {len(self._masks)} elements (cap {cap})"
+            )
         return self._masks
 
     def _face(self, mask: int) -> Face:
@@ -330,6 +340,14 @@ class Poset:
                     out.append((i, j))
         return out
 
+    def _lower_covers(self, js: Iterable[int]) -> list[list[int]]:
+        """The indices of the elements that element ``j`` covers, for each
+        ``j`` in ``js``."""
+        below: list[list[int]] = [[] for _ in self.elements]
+        for i, j in self.covering_index_pairs():
+            below[j].append(i)
+        return [below[j] for j in js]
+
     def covering_pairs(self) -> list[tuple[Hashable, Hashable]]:
         e = self.elements
         return [(e[i], e[j]) for i, j in self.covering_index_pairs()]
@@ -416,15 +434,15 @@ def face_poset(x: SimplicialComplex, cap: int = DEFAULT_CAP) -> Poset:
 
     Faces are listed by dimension, then by face key, so the element order
     is deterministic.  Raises :class:`SizeCapExceeded` when the number of
-    nonempty faces exceeds ``cap``, before enumerating any face when one
-    facet alone has more than ``cap`` nonempty faces.
+    nonempty faces exceeds ``cap``: before enumerating any face when one
+    facet alone has more than ``cap`` nonempty faces, and otherwise after
+    the facet whose faces take the running count past ``cap``, so at most
+    ``2 * cap`` faces are ever formed.
     """
     largest = 2 ** max(map(len, x.facets), default=0) - 1
     if largest > cap:
         raise SizeCapExceeded(f"a facet has {largest} nonempty faces (cap {cap})")
-    masks = sorted(x._face_masks(), key=_face_order)
-    if len(masks) > cap:
-        raise SizeCapExceeded(f"face poset would have {len(masks)} elements (cap {cap})")
+    masks = sorted(x._face_masks(cap), key=_face_order)
     face = {m: x._face(m) for m in masks}
     faces = _faces(masks, 1, max(len(x.vertices), 1))
     covers = [(face[f], face[m]) for m, fs in zip(masks, faces) for f in fs]

@@ -2,9 +2,10 @@
 
 A partial matching on a poset pairs elements along covering relations.  It
 is *acyclic* when the Hasse diagram, with matched covers pointing up and
-all other covers pointing down, has no directed cycle.  An acyclic
-matching with one critical cell on the face poset of a complex certifies
-collapsibility.
+all other covers pointing down, has no directed cycle.  On a poset graded
+by dimension, such as a hom poset, that is the same as having no closed
+V-path through the matched pairs.  An acyclic matching with one critical
+cell on the face poset of a complex certifies collapsibility.
 
 Besides the generic checker this module provides the explicit matching
 that collapses homomorphism posets into transitive tournaments, and two
@@ -34,20 +35,64 @@ from .homcomplex import HomPoset, hom_poset
 class Matching:
     """A partial matching: ``pairs`` of (lower, upper) cells plus the
     leftover ``critical`` cells.  Plain data; validation against a poset
-    happens in :func:`is_acyclic_matching`."""
+    happens in :func:`is_acyclic_matching`.
 
-    __slots__ = ("pairs", "critical")
+    A matching made by :func:`tournament_matching` keeps the packed ints
+    of its lower, upper and critical cells together with the
+    :class:`HomPoset` they index, and builds the ``pairs`` and
+    ``critical`` views on first use, as :attr:`HomPoset.cells` does.
+    """
+
+    __slots__ = ("_pairs", "_critical", "_poset", "_packed")
 
     def __init__(
         self,
         pairs: Iterable[tuple[Hashable, Hashable]],
         critical: Iterable[Hashable],
     ):
-        object.__setattr__(self, "pairs", tuple((a, b) for a, b in pairs))
-        object.__setattr__(self, "critical", tuple(critical))
+        object.__setattr__(self, "_pairs", tuple((a, b) for a, b in pairs))
+        object.__setattr__(self, "_critical", tuple(critical))
+        object.__setattr__(self, "_poset", None)
+        object.__setattr__(self, "_packed", None)
+
+    @classmethod
+    def _from_packed(
+        cls, poset: HomPoset, lowers: list[int], uppers: list[int], critical: list[int]
+    ) -> "Matching":
+        """The matching of the cells ``lowers[k] < uppers[k]`` of ``poset``
+        with ``critical`` left over, all as packed ints."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_pairs", None)
+        object.__setattr__(obj, "_critical", None)
+        object.__setattr__(obj, "_poset", poset)
+        object.__setattr__(obj, "_packed", (lowers, uppers, critical))
+        return obj
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Matching is immutable")
+
+    @property
+    def pairs(self) -> tuple[tuple[Hashable, Hashable], ...]:
+        if self._pairs is None:
+            lowers, uppers, _ = self._packed
+            views = self._poset._views
+            object.__setattr__(self, "_pairs", tuple(zip(views(lowers), views(uppers))))
+        return self._pairs
+
+    @property
+    def critical(self) -> tuple[Hashable, ...]:
+        if self._critical is None:
+            critical = tuple(self._poset._views(self._packed[2]))
+            object.__setattr__(self, "_critical", critical)
+        return self._critical
+
+    def _sizes(self) -> tuple[int, int]:
+        """The numbers of pairs and of critical cells, read without
+        building the views."""
+        if self._packed is None:
+            return len(self._pairs), len(self._critical)
+        lowers, _, critical = self._packed
+        return len(lowers), len(critical)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
@@ -60,7 +105,8 @@ class Matching:
         return hash((frozenset(self.pairs), frozenset(self.critical)))
 
     def __repr__(self) -> str:
-        return f"Matching({len(self.pairs)} pairs, {len(self.critical)} critical)"
+        pairs, critical = self._sizes()
+        return f"Matching({pairs} pairs, {critical} critical)"
 
 
 def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
@@ -68,43 +114,81 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
 
     Raises :class:`InvalidMatching` when a pair is not a covering relation,
     an element is matched twice, or pairs and critical cells fail to
-    partition the poset.  Returns ``False`` exactly when the modified Hasse
-    diagram has a directed cycle.  A :class:`Poset` and a
-    :class:`HomPoset` take the same path, through their covers.
+    partition the poset; the first failing pair decides the message.
+    Otherwise returns ``False`` exactly when the modified Hasse diagram,
+    matched covers pointing up and all others down, has a directed cycle.
+
+    A :class:`HomPoset` is graded by dimension, so such a cycle is a closed
+    V-path: it alternates between the lower and upper cells of matched
+    pairs one dimension apart (Forman 1998).  There the check looks only
+    at the faces of the matched upper cells and searches the graph of
+    pairs, with an arrow from pair ``k`` to pair ``k'`` when the lower
+    cell of ``k'`` is a face of the upper cell of ``k`` other than its
+    lower cell.  A matching made from ``p`` itself is looked up by its
+    packed ints.  A plain :class:`Poset` need not be graded, so it gets
+    the full modified Hasse diagram.
     """
-    locate = p._find
-    # Lower covers of each cell; after the flips below they are the
-    # successor lists of the modified Hasse diagram.
-    succ: list[list[int]] = [[] for _ in range(len(p))]
-    for i, j in p.covering_index_pairs():
-        succ[j].append(i)
-    matched = []
+    if m._poset is p:
+        lowers, uppers, critical = m._packed
+        locate = p._index.get
+
+        def show(c: Hashable) -> Hashable:
+            return next(p._views((c,)))
+
+    else:
+        lowers = [a for a, _ in m.pairs]
+        uppers = [b for _, b in m.pairs]
+        critical = m.critical
+        locate = p._find
+
+        def show(c: Hashable) -> Hashable:
+            return c
+
+    pairs = list(zip(map(locate, lowers), map(locate, uppers)))
+    # Pairs up to the first with an unknown cell; that one fails unless an
+    # earlier pair does.
+    known = next(
+        (k for k, (i, j) in enumerate(pairs) if i is None or j is None), len(pairs)
+    )
+    graded = isinstance(p, HomPoset)
+    if graded:
+        below = p._lower_covers(j for _, j in pairs[:known])
+    else:
+        succ = p._lower_covers(range(len(p)))
+        below = [succ[j] for _, j in pairs[:known]]
     used: set[int] = set()
-    for a, b in m.pairs:
-        ia, ib = locate(a), locate(b)
-        if ia is None or ib is None:
-            raise InvalidMatching(f"pair ({a!r}, {b!r}) mentions unknown cells")
-        if ia not in succ[ib]:
+    for k, ((i, j), faces) in enumerate(zip(pairs, below)):
+        if i not in faces:
+            a, b = show(lowers[k]), show(uppers[k])
             raise InvalidMatching(f"({a!r}, {b!r}) is not a covering pair")
-        if ia in used or ib in used:
+        if i in used or j in used:
             raise InvalidMatching("a cell appears in two pairs")
-        used.update((ia, ib))
-        matched.append((ia, ib))
+        used.update((i, j))
+    if known < len(pairs):
+        a, b = show(lowers[known]), show(uppers[known])
+        raise InvalidMatching(f"pair ({a!r}, {b!r}) mentions unknown cells")
     crit = set()
-    for c in m.critical:
+    for c in critical:
         ic = locate(c)
         if ic is None:
-            raise InvalidMatching(f"unknown critical cell {c!r}")
+            raise InvalidMatching(f"unknown critical cell {show(c)!r}")
         if ic in used or ic in crit:
-            raise InvalidMatching(f"cell {c!r} is both matched and critical")
+            raise InvalidMatching(f"cell {show(c)!r} is both matched and critical")
         crit.add(ic)
     if len(used) + len(crit) != len(p):
         raise InvalidMatching("pairs and critical cells do not partition the poset")
 
-    # Modified Hasse diagram: matched covers point up, the rest point down.
-    for i, j in matched:
-        succ[j].remove(i)
-        succ[i].append(j)
+    if graded:
+        pair_of = {i: k for k, (i, _) in enumerate(pairs)}
+        succ = [
+            [pair_of[f] for f in faces if f != i and f in pair_of]
+            for (i, _), faces in zip(pairs, below)
+        ]
+    else:
+        # Modified Hasse diagram: matched covers point up, the rest down.
+        for i, j in pairs:
+            succ[j].remove(i)
+            succ[i].append(j)
     return _graph.topological_order(succ) is not None
 
 
@@ -134,7 +218,8 @@ def tournament_matching(
     previously frozen sinks, those containing the value at the current sink
     are matched with the cells obtained by removing it.  The single
     unmatched cell is the homomorphism sending each vertex to its level
-    value.
+    value.  The matching keeps the packed cells of the poset and builds
+    its :class:`MultiHom` views only when they are read.
 
     Raises :class:`NotAcyclic` for non-DAGs, :class:`EmptyHom` when
     there is no homomorphism (a directed path on more than ``n`` vertices)
@@ -175,8 +260,7 @@ def tournament_matching(
                     lowers.append(c ^ bit << offset)
                 # cells without the bit are exactly the lowers added above
             live = survivors
-    pairs = zip(poset._views(lowers), poset._views(uppers))
-    return Matching(pairs, poset._views(live))
+    return Matching._from_packed(poset, lowers, uppers, live)
 
 
 # ---------------------------------------------------------------------------

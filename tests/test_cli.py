@@ -435,6 +435,8 @@ class TestRunMorse:
     ):
         calls = {"key": 0, "covers": 0}
         key, covers = dihom.MultiHom.key, dihom.HomPoset.covering_index_pairs
+        from_masks = dihom.MultiHom._from_masks
+        views = []
 
         def counted_key(self):
             calls["key"] += 1
@@ -444,13 +446,22 @@ class TestRunMorse:
             calls["covers"] += 1
             return covers(self)
 
+        def counted_from_masks(cls, masks):
+            views.append(masks)
+            return from_masks(masks)
+
         monkeypatch.setattr(dihom.MultiHom, "key", counted_key)
         monkeypatch.setattr(dihom.HomPoset, "covering_index_pairs", counted_covers)
+        monkeypatch.setattr(
+            dihom.MultiHom, "_from_masks", classmethod(counted_from_masks)
+        )
         path = graph_file(Digraph(4, [(0, 1), (2, 3)]))
         out = run_json(capsys, "morse", path, "4")
         assert out["acyclic"] is True
         assert out["critical"] == [[[2], [3], [2], [3]]]
-        assert calls == {"key": 0, "covers": 1}
+        assert calls == {"key": 0, "covers": 0}
+        # Only the critical cell is decoded.
+        assert views == [(0b0100, 0b1000, 0b0100, 0b1000)]
 
 
 class TestRunPlumbing:

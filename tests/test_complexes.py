@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,6 +167,20 @@ class TestFaceAndOrderComplexes:
         monkeypatch.setattr(SimplicialComplex, "_face_masks", fail)
         with pytest.raises(SizeCapExceeded):
             face_poset(full_simplex(40), cap=10)
+
+    def test_face_poset_cap_stops_the_enumeration(self):
+        # 2000 random 9-vertex facets on 40 vertices: over 500,000 faces.
+        rng = random.Random(0)
+        x = SimplicialComplex(
+            range(40), [rng.sample(range(40), 9) for _ in range(2000)]
+        )
+        with pytest.raises(SizeCapExceeded):
+            face_poset(x, cap=1000)
+        assert x._masks is None
+        y = simplex_boundary(3)
+        assert y.f_vector() == (4, 6, 4)  # caches all 14 faces
+        with pytest.raises(SizeCapExceeded):
+            face_poset(y, cap=13)
 
     def test_order_complex_of_face_poset_is_barycentric(self):
         oc = order_complex(face_poset(simplex_boundary(2)))

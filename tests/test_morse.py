@@ -103,6 +103,17 @@ class TestAcyclicity:
         assert is_acyclic_matching(p, Matching(pairs, critical))
 
 
+    def test_ungraded_poset_gets_the_full_check(self):
+        # a -> b -> c -> d -> e -> a alternates up and down but steps down
+        # twice in a row (b > c > d), so it is no V-path: only the full
+        # modified Hasse diagram sees this cycle.
+        p = Poset.from_covers(
+            "abcde", [("a", "b"), ("c", "b"), ("d", "c"), ("a", "e"), ("d", "e")]
+        )
+        m = Matching([("a", "b"), ("d", "e")], ["c"])
+        assert not is_acyclic_matching(p, m)
+
+
 class TestTournamentMatching:
     def test_path_collapses_to_level_map(self):
         g = directed_path(3)
@@ -141,6 +152,43 @@ class TestTournamentMatching:
     def test_cycle_raises(self):
         with pytest.raises(NotAcyclic):
             tournament_matching(directed_cycle(3), 5)
+
+    def test_views_are_built_on_first_use(self):
+        g = Digraph(3, [(0, 1)])
+        p = hom_poset(g, transitive_tournament(3))
+        m = tournament_matching(g, 3, poset=p)
+        assert (m._pairs, m._critical) == (None, None)
+        assert repr(m) == f"Matching({(len(p) - 1) // 2} pairs, 1 critical)"
+        assert (m._pairs, m._critical) == (None, None)
+        same = Matching(reversed(m.pairs), m.critical)
+        assert m == same and hash(m) == hash(same)
+        assert repr(m) == repr(same)
+
+    def test_packed_and_view_matchings_fail_alike(self):
+        g = directed_path(2)
+        p = hom_poset(g, transitive_tournament(3))
+        lowers, uppers, critical = tournament_matching(g, 3, poset=p)._packed
+        outside = (1 << 6) - 1  # both blocks full: not a multihomomorphism
+        swapped = uppers[:1] + lowers[1:], lowers[:1] + uppers[1:]
+        bad = {
+            "not a covering pair": [
+                (*swapped, critical),
+                (swapped[0], swapped[1][:1] + [outside] + uppers[2:], critical),
+            ],
+            "mentions unknown cells": [(lowers, [outside] + uppers[1:], critical)],
+            "two pairs": [(lowers + lowers[:1], uppers + uppers[:1], critical)],
+            "both matched and critical": [(lowers, uppers, critical + uppers[:1])],
+            "do not partition": [(lowers, uppers, critical[1:])],
+        }
+        for message, cases in bad.items():
+            for packed in cases:
+                m = Matching._from_packed(p, *packed)
+                views = Matching(m.pairs, m.critical)
+                with pytest.raises(InvalidMatching, match=message) as packed_error:
+                    is_acyclic_matching(p, m)
+                with pytest.raises(InvalidMatching) as view_error:
+                    is_acyclic_matching(p, views)
+                assert str(packed_error.value) == str(view_error.value)
 
     def test_poset_of_another_target_is_rejected(self):
         p = hom_poset(directed_path(2), transitive_tournament(3))
