@@ -8,20 +8,19 @@ V-path through the matched pairs.  An acyclic matching with one critical
 cell on the face poset of a complex certifies collapsibility.
 
 Besides the generic checker this module provides the explicit matching
-that collapses homomorphism posets into transitive tournaments, and two
-facet-driven collapsing engines for simplicial complexes.
+that collapses homomorphism posets into transitive tournaments, and one
+collapsing engine for simplicial complexes that works on face masks.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 from . import _graph
 from .complexes import Poset, SimplicialComplex
 from .constructions import transitive_tournament
-from .digraph import DEFAULT_CAP, Digraph, _shifts
+from .digraph import DEFAULT_CAP, Digraph, _bits, _mask_of, _shifts
 from .errors import (
     EmptyHom,
     InvalidMatching,
@@ -264,69 +263,61 @@ def tournament_matching(
 
 
 # ---------------------------------------------------------------------------
-# Facet-driven collapsing of simplicial complexes
+# Collapsing simplicial complexes on face masks
 # ---------------------------------------------------------------------------
+#
+# A complex being collapsed is one dict ``faces: mask -> (k, total)`` over
+# the position bitmasks of ``SimplicialComplex`` (bit ``i`` for
+# ``vertices[i]``), the empty face included: ``k`` live facets lie over
+# the face and their masks sum to ``total``.  The facets are the masks
+# equal to their total, since a facet lies in no other facet.  A face is free when it is nonempty and lies in
+# exactly one facet other than itself, and that facet is then its total.
+_Faces = dict[int, tuple[int, int]]
 
 
-class _FacetComplex:
-    """Mutable working copy of a complex: facets plus, for every face, the
-    number of facets containing it.  A face is *free* when that count is 1
-    and it is not itself the facet."""
+def _shift(faces: _Faces, f: int, step: int) -> None:
+    """Add (``step=1``) or remove (``step=-1``) the facet ``f``."""
+    sub = f
+    while True:
+        k, total = faces.get(sub, (0, 0))
+        if k + step:
+            faces[sub] = (k + step, total + step * f)
+        else:
+            del faces[sub]
+        if not sub:
+            return
+        sub = (sub - 1) & f
 
-    def __init__(self, x: SimplicialComplex):
-        self.positions = {v: i for i, v in enumerate(x.vertices)}
-        self.facets: set[frozenset] = set()
-        self.count: dict[frozenset, int] = {}
-        for f in x.facets:
-            self.add_facet(f)
 
-    def key(self, face: frozenset) -> tuple[int, ...]:
-        return tuple(sorted(self.positions[v] for v in face))
+def _face_dict(x: SimplicialComplex) -> _Faces:
+    faces: _Faces = {}
+    for f in x.facets:
+        _shift(faces, _mask_of(x._pos[v] for v in f), 1)
+    return faces
 
-    def add_facet(self, f: frozenset) -> None:
-        self.facets.add(f)
-        elems = tuple(f)
-        for k in range(len(elems) + 1):
-            for sub in itertools.combinations(elems, k):
-                s = frozenset(sub)
-                self.count[s] = self.count.get(s, 0) + 1
 
-    def remove_facet(self, f: frozenset) -> None:
-        self.facets.discard(f)
-        elems = tuple(f)
-        for k in range(len(elems) + 1):
-            for sub in itertools.combinations(elems, k):
-                s = frozenset(sub)
-                c = self.count[s] - 1
-                if c:
-                    self.count[s] = c
-                else:
-                    del self.count[s]
+def _free(faces: _Faces) -> list[int]:
+    return [m for m, (k, total) in faces.items() if k == 1 and m and m != total]
 
-    def free_faces(self) -> list[frozenset]:
-        return [
-            f
-            for f, c in self.count.items()
-            if c == 1 and f and f not in self.facets
-        ]
 
-    def facet_over(self, face: frozenset) -> frozenset:
-        for f in self.facets:
-            if face <= f:
-                return f
-        raise KeyError(face)
+def _positions(mask: int) -> tuple[int, ...]:
+    return tuple(_bits(mask))
 
-    def collapse(self, tau: frozenset, sigma: frozenset) -> None:
-        """Remove the interval ``[tau, sigma]``; re-expose the rest of the
-        boundary of ``sigma`` as new facets where needed."""
-        self.remove_facet(sigma)
-        for t in tau:
-            delta = sigma - {t}
-            if self.count.get(delta, 0) == 0:
-                self.add_facet(delta)
 
-    def to_complex(self, vertices: Sequence) -> SimplicialComplex:
-        return SimplicialComplex(vertices, self.facets)
+def _collapse(faces: _Faces, tau: int, sigma: int) -> None:
+    """Remove the interval ``[tau, sigma]``; re-expose the rest of the
+    boundary of ``sigma`` as new facets where needed."""
+    _shift(faces, sigma, -1)
+    for t in _bits(tau):
+        delta = sigma & ~(1 << t)
+        if delta not in faces:
+            _shift(faces, delta, 1)
+
+
+def _complex(x: SimplicialComplex, faces: _Faces) -> SimplicialComplex:
+    return SimplicialComplex(
+        x.vertices, [x._face(m) for m, (_, total) in faces.items() if m == total]
+    )
 
 
 class CollapseResult:
@@ -366,43 +357,37 @@ def collapse_free_pairs(
     if strategy not in ("lex", "random"):
         raise InvalidVariant(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
-    work = _FacetComplex(x)
+    faces = _face_dict(x)
     log: list[tuple[frozenset, frozenset]] = []
-    while True:
-        free = work.free_faces()
-        if not free:
-            break
+    while free := _free(faces):
         if strategy == "lex":
-            min_dim = min(len(f) for f in free)
-            best = None
-            for tau in free:
-                if len(tau) != min_dim:
-                    continue
-                sigma = work.facet_over(tau)
-                cand = (len(sigma), work.key(tau), work.key(sigma), tau, sigma)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-            tau, sigma = best[3], best[4]
+            tau = min(
+                free,
+                key=lambda m: (m.bit_count(), faces[m][1].bit_count(), _positions(m)),
+            )
         else:
-            tau = rng.choice(sorted(free, key=work.key))
-            sigma = work.facet_over(tau)
-        work.collapse(tau, sigma)
-        log.append((tau, sigma))
-    return CollapseResult(work.to_complex(x.vertices), tuple(log))
+            tau = rng.choice(sorted(free, key=_positions))
+        sigma = faces[tau][1]
+        _collapse(faces, tau, sigma)
+        log.append((x._face(tau), x._face(sigma)))
+    return CollapseResult(_complex(x, faces), tuple(log))
 
 
 def replay_collapses(
     x: SimplicialComplex, log: Iterable[tuple[frozenset, frozenset]]
 ) -> SimplicialComplex:
     """Re-apply a collapse log, verifying every step is a free pair."""
-    work = _FacetComplex(x)
+    faces = _face_dict(x)
+    pos = x._pos
     for step, (tau, sigma) in enumerate(log):
-        if work.count.get(tau, 0) != 1 or tau in work.facets or not tau:
+        m = _mask_of(pos[v] for v in tau) if all(v in pos for v in tau) else None
+        k, total = faces.get(m, (0, 0))
+        if k != 1 or not m or m == total:
             raise ValueError(f"step {step}: {set(tau)} is not a free face")
-        if work.facet_over(tau) != sigma:
+        if x._face(total) != sigma:
             raise ValueError(f"step {step}: {set(sigma)} is not the facet over the face")
-        work.collapse(tau, sigma)
-    return work.to_complex(x.vertices)
+        _collapse(faces, m, total)
+    return _complex(x, faces)
 
 
 def random_discrete_morse(x: SimplicialComplex, seed: int) -> tuple[int, ...]:
@@ -417,16 +402,18 @@ def random_discrete_morse(x: SimplicialComplex, seed: int) -> tuple[int, ...]:
     rng = random.Random(seed)
     top = max((len(f) - 1 for f in x.facets), default=-1)
     counts = [0] * (top + 1)
-    work = _FacetComplex(x)
-    while work.facets and work.facets != {frozenset()}:
-        free = work.free_faces()
+    faces = _face_dict(x)
+    # Left with at most the empty face, the complex is void or empty.
+    while len(faces) > 1:
+        free = _free(faces)
         if free:
-            tau = rng.choice(sorted(free, key=work.key))
-            work.collapse(tau, work.facet_over(tau))
+            tau = rng.choice(sorted(free, key=_positions))
+            _collapse(faces, tau, faces[tau][1])
             continue
-        dim = max(len(f) for f in work.facets) - 1
-        tops = sorted((f for f in work.facets if len(f) - 1 == dim), key=work.key)
+        facets = [m for m, (_, total) in faces.items() if m == total]
+        size = max(m.bit_count() for m in facets)
+        tops = sorted((m for m in facets if m.bit_count() == size), key=_positions)
         sigma = rng.choice(tops)
-        counts[dim] += 1
-        work.collapse(sigma, sigma)  # just the facet; its boundary stays
+        counts[size - 1] += 1
+        _collapse(faces, sigma, sigma)  # just the facet; its boundary stays
     return tuple(counts)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example
 from hypothesis import strategies as st
 
-from dihom import Digraph, VertexMap
+from dihom import Digraph, SimplicialComplex, VertexMap
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -42,6 +42,14 @@ def digraphs(max_n: int) -> st.SearchStrategy[Digraph]:
             else st.just([]),
         )
     )
+
+
+@st.composite
+def complexes(draw, max_vertices: int = 7) -> SimplicialComplex:
+    """Random complexes whose vertex order differs from label order."""
+    labels = draw(st.permutations(range(draw(st.integers(0, max_vertices)))))
+    face = st.frozensets(st.sampled_from(labels)) if labels else st.just(frozenset())
+    return SimplicialComplex(labels, draw(st.lists(face, max_size=6)))
 
 
 def edge_cases(test):

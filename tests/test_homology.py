@@ -34,7 +34,13 @@ from dihom import (
 )
 from dihom.homology import _cellular_chains, _homology
 
-from conftest import digraphs, edge_cases, pentagon_tournament, random_digraph
+from conftest import (
+    complexes,
+    digraphs,
+    edge_cases,
+    pentagon_tournament,
+    random_digraph,
+)
 
 
 def invariant_factors_via_minors(matrix: list[list[int]]) -> tuple[int, ...]:
@@ -116,14 +122,6 @@ def reference_leray_failures(x: SimplicialComplex) -> list[tuple[frozenset, list
     the homology of its link (built by ``x.link``) is nonzero."""
     order = sorted(x.faces(), key=lambda f: (len(f), x.face_key(f)))
     return [(f, reference_homology(x.link(f)).degrees()) for f in order]
-
-
-@st.composite
-def complexes(draw, max_vertices: int = 7) -> SimplicialComplex:
-    """Random complexes whose vertex order differs from label order."""
-    labels = draw(st.permutations(range(draw(st.integers(0, max_vertices)))))
-    face = st.frozensets(st.sampled_from(labels)) if labels else st.just(frozenset())
-    return SimplicialComplex(labels, draw(st.lists(face, max_size=6)))
 
 
 small_matrices = st.integers(1, 3).flatmap(

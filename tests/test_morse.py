@@ -21,20 +21,23 @@ from dihom import (
     collapse_free_pairs,
     directed_cycle,
     directed_path,
+    empty_complex,
     full_simplex,
     hom_poset,
     is_acyclic_matching,
     multihom_of_map,
     out_neighborhood_complex,
     random_discrete_morse,
+    reduced_homology,
     replay_collapses,
     simplex_boundary,
     sphere_tournament,
     tournament_matching,
     transitive_tournament,
+    void_complex,
 )
 
-from conftest import digraphs, edge_cases
+from conftest import complexes, digraphs, edge_cases
 
 
 def square_boundary_poset() -> Poset:
@@ -425,6 +428,8 @@ class TestReplay:
             )
         with pytest.raises(ValueError, match="not a free face"):
             replay_collapses(full_simplex(2), [(frozenset(), frozenset({0, 1, 2}))])
+        with pytest.raises(ValueError, match="not a free face"):
+            replay_collapses(full_simplex(2), [(frozenset({0, 9}), frozenset({0, 1, 2}))])
 
     def test_rejects_wrong_facet(self):
         with pytest.raises(ValueError, match="not the facet over"):
@@ -448,7 +453,7 @@ class TestRandomDiscreteMorse:
 
     def test_same_seed_same_vector(self):
         x = out_neighborhood_complex(sphere_tournament(2))
-        assert random_discrete_morse(x, 3) == random_discrete_morse(x, 3)
+        assert random_discrete_morse(x, 3) == (1, 0, 1, 0, 0)
 
     def test_vector_bounds_betti_numbers(self):
         # The hexagon sphere is a homology circle: any Morse vector has at
@@ -459,3 +464,140 @@ class TestRandomDiscreteMorse:
             assert vec[0] >= 1
             assert vec[1] >= 1
             assert sum(vec[i] * (-1) ** i for i in range(len(vec))) == 0
+
+
+def _log(*steps):
+    """A collapse log from ``(tau, sigma)`` pairs of label tuples."""
+    return tuple((frozenset(t), frozenset(s)) for t, s in steps)
+
+
+# A 2-complex on nine vertices whose random Morse vectors are not all
+# alike, and a complex whose vertex order is not the order of its labels.
+TANGLE = SimplicialComplex(
+    range(9),
+    [[0, 5, 8], [0, 6, 7], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
+     [1, 5, 8], [1, 6, 7], [2, 4, 8], [3, 4, 7], [3, 5, 7]],
+)
+SHUFFLED = SimplicialComplex(
+    ["d", "b", "a", "c", "e"],
+    [["a", "b", "c"], ["c", "d"], ["d", "e", "b"], ["a", "e"]],
+)
+
+
+class TestPinnedCollapses:
+    """Frozen logs and vectors: the lex order and the seeded draws must
+    not drift, whatever the working encoding of the complex."""
+
+    def test_tangle_vectors(self):
+        vectors = [random_discrete_morse(TANGLE, seed) for seed in range(10)]
+        assert vectors == [(1, 4, 0)] * 7 + [(2, 5, 0)] + [(1, 4, 0)] * 2
+
+    def test_tangle_lex_log(self):
+        assert collapse_free_pairs(TANGLE).log == _log(
+            ((0, 5), (0, 5, 8)), ((0, 6), (0, 6, 7)), ((1, 2), (1, 2, 4)),
+            ((2,), (2, 4, 8)), ((1, 3), (1, 3, 5)), ((1, 4), (1, 4, 6)),
+            ((1, 7), (1, 6, 7)), ((1, 6), (1, 5, 6)), ((1,), (1, 5, 8)),
+            ((3, 4), (3, 4, 7)), ((3,), (3, 5, 7)),
+        )
+
+    @pytest.mark.parametrize(
+        "seed, log",
+        [
+            (0, _log(
+                ((5, 6), (1, 5, 6)), ((1, 7), (1, 6, 7)), ((4, 8), (2, 4, 8)),
+                ((1, 6), (1, 4, 6)), ((0, 5), (0, 5, 8)), ((1, 4), (1, 2, 4)),
+                ((6, 7), (0, 6, 7)), ((4, 7), (3, 4, 7)), ((5, 7), (3, 5, 7)),
+                ((3, 5), (1, 3, 5)), ((5, 8), (1, 5, 8)), ((5,), (1, 5)),
+            )),
+            (1, _log(
+                ((0, 7), (0, 6, 7)), ((4, 7), (3, 4, 7)), ((6, 7), (1, 6, 7)),
+                ((0, 8), (0, 5, 8)), ((3, 7), (3, 5, 7)), ((1, 3), (1, 3, 5)),
+                ((4, 6), (1, 4, 6)), ((5, 8), (1, 5, 8)), ((1, 6), (1, 5, 6)),
+                ((4, 8), (2, 4, 8)), ((1, 2), (1, 2, 4)),
+            )),
+            (2, _log(
+                ((5, 6), (1, 5, 6)), ((5, 7), (3, 5, 7)), ((0, 5), (0, 5, 8)),
+                ((0, 7), (0, 6, 7)), ((1, 3), (1, 3, 5)), ((3, 4), (3, 4, 7)),
+                ((1, 7), (1, 6, 7)), ((2, 8), (2, 4, 8)), ((2,), (1, 2, 4)),
+                ((4, 6), (1, 4, 6)), ((1, 5), (1, 5, 8)),
+            )),
+        ],
+    )
+    def test_tangle_random_logs(self, seed, log):
+        assert collapse_free_pairs(TANGLE, "random", seed).log == log
+
+    @pytest.mark.parametrize(
+        "seed, log",
+        [
+            (0, _log(
+                ((0, 6), (0, 1, 6)), ((6,), (1, 6)),
+                ((1, 3, 4, 5), (0, 1, 3, 4, 5)), ((0, 2, 3), (0, 2, 3, 4)),
+                ((1, 4, 5), (0, 1, 4, 5)), ((4, 5), (0, 3, 4, 5)),
+                ((1, 4), (0, 1, 3, 4)), ((3, 5), (0, 1, 3, 5)),
+                ((1, 5), (0, 1, 5)), ((5,), (0, 5)),
+            )),
+            (1, _log(
+                ((0, 1, 4, 5), (0, 1, 3, 4, 5)), ((2, 4), (0, 2, 3, 4)),
+                ((6,), (0, 1, 6)), ((0, 1, 4), (0, 1, 3, 4)),
+                ((0, 4, 5), (0, 3, 4, 5)), ((0, 1, 5), (0, 1, 3, 5)),
+                ((3, 4, 5), (1, 3, 4, 5)), ((0, 5), (0, 3, 5)),
+                ((3, 5), (1, 3, 5)), ((5,), (1, 4, 5)), ((0, 4), (0, 3, 4)),
+                ((1, 4), (1, 3, 4)), ((4,), (3, 4)),
+            )),
+            (2, _log(
+                ((0, 1, 3, 4), (0, 1, 3, 4, 5)), ((0, 1, 4), (0, 1, 4, 5)),
+                ((0, 1, 5), (0, 1, 3, 5)), ((0, 6), (0, 1, 6)),
+                ((0, 3, 5), (0, 3, 4, 5)), ((3, 4, 5), (1, 3, 4, 5)),
+                ((2, 3, 4), (0, 2, 3, 4)), ((3, 5), (1, 3, 5)),
+                ((1, 5), (1, 4, 5)), ((5,), (0, 4, 5)), ((1, 4), (1, 3, 4)),
+                ((6,), (1, 6)), ((2, 4), (0, 2, 4)), ((3, 4), (0, 3, 4)),
+                ((4,), (0, 4)),
+            )),
+        ],
+    )
+    def test_sphere_tournament_random_logs(self, seed, log):
+        x = out_neighborhood_complex(sphere_tournament(2))
+        assert collapse_free_pairs(x, "random", seed).log == log
+
+    def test_shuffled_vertex_order_lex_log(self):
+        # Positions, not labels, break ties: "d" and "b" come first.
+        res = collapse_free_pairs(SHUFFLED)
+        assert res.log == _log(
+            (("b", "d"), ("b", "d", "e")), (("a", "b"), ("a", "b", "c"))
+        )
+        assert replay_collapses(SHUFFLED, res.log) == res.complex
+
+
+class TestCollapseOracle:
+    """Homology, Euler characteristic and the weak Morse inequalities
+    bound what any collapse run or Morse vector can report."""
+
+    @given(complexes(max_vertices=8), st.integers(0, 3))
+    @example(void_complex(), 0)
+    @example(empty_complex(), 0)
+    @example(SHUFFLED, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_collapses_keep_homology_and_replay(self, x, seed):
+        h = reduced_homology(x)
+        for res in (
+            collapse_free_pairs(x),
+            collapse_free_pairs(x, strategy="random", seed=seed),
+        ):
+            assert reduced_homology(res.complex) == h
+            assert replay_collapses(x, res.log) == res.complex
+
+    @given(complexes(max_vertices=8), st.integers(0, 3))
+    @example(void_complex(), 0)
+    @example(empty_complex(), 0)
+    @example(TANGLE, 7)
+    @settings(max_examples=150, deadline=None)
+    def test_morse_vector_bounds(self, x, seed):
+        vec = random_discrete_morse(x, seed)
+        assert sum((-1) ** d * c for d, c in enumerate(vec)) == x.euler_characteristic()
+        if x.is_void or x.is_empty:
+            assert vec == ()
+            return
+        h = reduced_homology(x)
+        assert len(vec) == x.dimension() + 1
+        assert vec[0] >= h.rank(0) + 1
+        assert all(c >= h.rank(d) for d, c in enumerate(vec) if d)
