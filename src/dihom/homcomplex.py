@@ -485,23 +485,12 @@ class StaircaseCell:
     def is_staircase(self) -> bool:
         """Do the blocks form consecutive intervals partitioning the target?
 
-        Checks that each block is a contiguous run, that consecutive blocks
-        abut (max of one block + 1 = min of the next), and that together
-        they cover every target vertex exactly once.
+        Blocks are sorted and nonempty, so this holds exactly when there is
+        a block and the blocks read in order spell ``0 .. target_size-1``.
         """
-        blocks = self.blocks
-        if not blocks:
-            return False
-        expected_low = 0
-        for b in blocks:
-            if not b:
-                return False
-            if list(b) != list(range(b[0], b[-1] + 1)):
-                return False
-            if b[0] != expected_low:
-                return False
-            expected_low = b[-1] + 1
-        return expected_low == self.target_size
+        return bool(self.blocks) and [v for b in self.blocks for v in b] == list(
+            range(self.target_size)
+        )
 
     def __repr__(self) -> str:
         return f"StaircaseCell({[list(b) for b in self.blocks]})"

@@ -8,6 +8,7 @@ import pytest
 
 from dihom import (
     Digraph,
+    InvalidRange,
     InvalidSize,
     InvalidVariant,
     SizeCapExceeded,
@@ -132,6 +133,65 @@ class TestSphereTournament:
             sphere_tournament(0)
 
 
+def brute_force_key(g: Digraph) -> int:
+    """The least adjacency bit string over every vertex ordering.
+
+    Placing ``v`` after ``p_0 .. p_{k-1}`` appends ``loop(v)`` and then
+    ``(e(v, p_j), e(p_j, v))`` for each ``j < k``.  Deliberately naive;
+    serves as the oracle for :func:`canonical_key`.
+    """
+    return min(ordering_key(g, order) for order in itertools.permutations(range(g.n)))
+
+
+def ordering_key(g: Digraph, order: tuple[int, ...]) -> int:
+    """The adjacency bit string revealed by placing vertices in ``order``."""
+    key = 0
+    for k, v in enumerate(order):
+        key = key << 1 | g.has_edge(v, v)
+        for p in order[:k]:
+            key = key << 2 | g.has_edge(v, p) << 1 | g.has_edge(p, v)
+    return key
+
+
+# A sparse 10-vertex digraph with two isolated vertices and a loop: many
+# orderings tie for long stretches of the search.
+SPARSE_10 = Digraph(
+    10, [(1, 3), (2, 7), (2, 8), (3, 7), (4, 3), (5, 5), (7, 4), (7, 8), (8, 9)]
+)
+
+
+class TestCanonicalKeyOracle:
+    def test_every_digraph_up_to_three_vertices(self):
+        count = 0
+        for n in range(4):
+            pairs = list(itertools.product(range(n), repeat=2))
+            for mask in range(1 << len(pairs)):
+                g = Digraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                assert canonical_key(g) == brute_force_key(g)
+                count += 1
+        assert count == 531
+
+    def test_random_digraphs_four_to_six_vertices(self):
+        rng = random.Random(12)
+        for n in (4, 5, 6):
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+                for loops in (False, True):
+                    for _ in range(3):
+                        g = random_digraph(rng, n, p, loops)
+                        assert canonical_key(g) == brute_force_key(g)
+
+    def test_frozen_keys(self):
+        assert [canonical_key(t) for t in enumerate_tournaments(5)] == [
+            2435669, 2435673, 2435685, 2435686, 2435733, 2435734,
+            2435737, 2435738, 2435749, 2437781, 2437782, 2443941,
+        ]
+        assert canonical_key(sphere_tournament(2)) == 40863815354714
+        assert canonical_key(directed_cycle(5)) == 77956
+        assert canonical_key(Digraph(4)) == 0
+        assert canonical_key(Digraph(3, [(0, 0), (0, 1)])) == 18
+        assert canonical_key(SPARSE_10) == 11264016798973952
+
+
 class TestCanonicalForms:
     def test_canonical_form_is_isomorphic_copy(self, rng):
         for _ in range(25):
@@ -152,6 +212,22 @@ class TestCanonicalForms:
         g = random_digraph(rng, 4)
         key = canonical_key(g)
         assert canonical_form(g) == digraph_from_key(4, key)
+
+    def test_key_decodes_in_label_order(self):
+        for n in range(4):
+            for key in range(1 << n * n):
+                assert ordering_key(digraph_from_key(n, key), tuple(range(n))) == key
+
+    def test_key_out_of_range(self):
+        with pytest.raises(InvalidRange):
+            digraph_from_key(2, 1 << 4)
+        with pytest.raises(InvalidRange):
+            digraph_from_key(2, 1 << 10)
+        with pytest.raises(InvalidRange):
+            digraph_from_key(2, -1)
+        assert digraph_from_key(2, (1 << 4) - 1) == Digraph(
+            2, [(0, 0), (0, 1), (1, 0), (1, 1)]
+        )
 
     def test_distinguishes_nonisomorphic(self):
         assert not is_isomorphic(directed_cycle(3), directed_path(3))
@@ -180,7 +256,7 @@ class TestCanonicalForms:
 
 class TestTournamentEnumeration:
     def test_counts(self):
-        assert [len(enumerate_tournaments(n)) for n in range(1, 7)] == [1, 1, 2, 4, 12, 56]
+        assert [len(enumerate_tournaments(n)) for n in range(1, 8)] == [1, 1, 2, 4, 12, 56, 456]
 
     def test_members_are_canonical_tournaments(self):
         reps = enumerate_tournaments(4)

@@ -458,3 +458,5 @@ class TestStaircase:
         assert not StaircaseCell(MultiHom([{0, 2}, {1}]), 3).is_staircase
         # Leftover target vertex.
         assert not StaircaseCell(MultiHom([{0}, {1}]), 3).is_staircase
+        # Overlapping blocks.
+        assert not StaircaseCell(MultiHom([{0, 1}, {1, 2}]), 3).is_staircase
