@@ -399,11 +399,22 @@ def _multihoms(
     g: Digraph, h: Digraph, max_dim: int | None = None, limit: int | None = None
 ) -> list[int]:
     """The multihomomorphisms ``g -> h`` of dimension at most ``max_dim``,
-    as cells in ascending order, stopping after ``limit`` cells.
+    as cells in ascending order.
 
-    Backtracks vertex by vertex, restricting each assignment set to the
-    common neighborhoods of the already-assigned neighbors and trying the
-    sets in increasing mask order.
+    With ``limit`` the search stops after ``limit`` cells and returns the
+    cells found so far, ascending: all of them when there are at most
+    ``limit``, otherwise ``limit`` cells that need not be the smallest.
+
+    Backtracks over the vertices in maximum-cardinality search order over
+    the undirected adjacency of ``g``: next the vertex with the most
+    already-placed neighbors, then the highest degree, then the lowest
+    label.  Each assignment set is restricted to the common neighborhoods
+    of the values of the placed in- and out-neighbors.  Every vertex after
+    the first of its weak component has a placed neighbor, and each
+    component is finished before the next starts, so arcs that point back
+    to lower labels prune as soon as forward ones do; the labels only break
+    ties.  Each set is packed at its vertex's own block, and one sort
+    restores the ascending order.
     """
     n = g.n
     full = (1 << h.n) - 1
@@ -411,30 +422,42 @@ def _multihoms(
     looped = _mask_of(t for t in range(h.n) if h._out[t] >> t & 1)
     co = functools.cache(lambda mask: _common(h._out, mask, full))
     ci = functools.cache(lambda mask: _common(h._in, mask, full))
-    in_masks = [g._in[v] & ((1 << v) - 1) for v in range(n)]
-    out_masks = [g._out[v] & ((1 << v) - 1) for v in range(n)]
-    loops = [bool(g._out[v] >> v & 1) for v in range(n)]
+    adj = [(o | i) & ~(1 << v) for v, (o, i) in enumerate(zip(g._out, g._in))]
+    # Per position of the search order: the vertex, its block offset,
+    # whether it is looped, and its placed in- and out-neighbors.
+    steps = []
+    placed = 0
+    rest = set(range(n))
+    while rest:
+        v = min(
+            rest,
+            key=lambda v: (-(adj[v] & placed).bit_count(), -adj[v].bit_count(), v),
+        )
+        rest.remove(v)
+        ins, outs = tuple(_bits(g._in[v] & placed)), tuple(_bits(g._out[v] & placed))
+        steps.append((v, shifts[v], bool(g._out[v] >> v & 1), ins, outs))
+        placed |= 1 << v
     cells: list[int] = []
     masks = [0] * n
 
-    def rec(v: int, acc: int, budget: int | None) -> bool:
-        """Extend the first ``v`` assignments, packed in ``acc``, spending
+    def rec(i: int, acc: int, budget: int | None) -> bool:
+        """Extend the first ``i`` placements, packed in ``acc``, spending
         at most ``budget`` extra values; True once ``limit`` is hit."""
-        if v == n:
+        if i == n:
             cells.append(acc)
             return len(cells) == limit
-        allowed = looped if loops[v] else full
-        for u in _bits(in_masks[v]):
+        v, shift, loop, ins, outs = steps[i]
+        allowed = looped if loop else full
+        for u in ins:
             allowed &= co(masks[u])
-        for u in _bits(out_masks[v]):
+        for u in outs:
             allowed &= ci(masks[u])
-        shift = shifts[v]
         if budget is None:
             s = 0
             while s := (s - allowed) & allowed:
-                if not loops[v] or s & ~co(s) == 0:
+                if not loop or s & ~co(s) == 0:
                     masks[v] = s
-                    if rec(v + 1, acc | s << shift, None):
+                    if rec(i + 1, acc | s << shift, None):
                         return True
             return False
         # Form only the sets of at most budget + 1 values: walking every
@@ -442,14 +465,15 @@ def _multihoms(
         values = [1 << t for t in _bits(allowed)]
         sizes = range(1, min(budget + 1, len(values)) + 1)
         sets = [sum(c) for k in sizes for c in itertools.combinations(values, k)]
-        for s in sorted(sets):
-            if not loops[v] or s & ~co(s) == 0:
+        for s in sets:
+            if not loop or s & ~co(s) == 0:
                 masks[v] = s
-                if rec(v + 1, acc | s << shift, budget + 1 - s.bit_count()):
+                if rec(i + 1, acc | s << shift, budget + 1 - s.bit_count()):
                     return True
         return False
 
     rec(0, 0, max_dim)
+    cells.sort()
     return cells
 
 

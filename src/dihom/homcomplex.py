@@ -253,12 +253,6 @@ class HomPoset:
         faces = _faces(self._packed, self.source.n, self._width)
         return [(index[f], j) for j, fs in enumerate(faces) for f in fs]
 
-    def _lower_covers(self, js: Iterable[int]) -> list[list[int]]:
-        """The indices of the faces of cell ``j``, for each ``j`` in ``js``."""
-        index, packed = self._index, self._packed
-        faces = _faces([packed[j] for j in js], self.source.n, self._width)
-        return [[index[f] for f in fs] for fs in faces]
-
     def dimension_census(self) -> dict[int, int]:
         n = self.source.n
         census: dict[int, int] = {}

@@ -20,7 +20,7 @@ from typing import Hashable, Iterable
 from . import _graph
 from .complexes import Poset, SimplicialComplex
 from .constructions import transitive_tournament
-from .digraph import DEFAULT_CAP, Digraph, _bits, _mask_of, _shifts
+from .digraph import DEFAULT_CAP, Digraph, _bits, _faces, _mask_of, _shifts
 from .errors import (
     EmptyHom,
     InvalidMatching,
@@ -119,13 +119,13 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
 
     A :class:`HomPoset` is graded by dimension, so such a cycle is a closed
     V-path: it alternates between the lower and upper cells of matched
-    pairs one dimension apart (Forman 1998).  There the check looks only
-    at the faces of the matched upper cells and searches the graph of
-    pairs, with an arrow from pair ``k`` to pair ``k'`` when the lower
-    cell of ``k'`` is a face of the upper cell of ``k`` other than its
-    lower cell.  A matching made from ``p`` itself is looked up by its
-    packed ints.  A plain :class:`Poset` need not be graded, so it gets
-    the full modified Hasse diagram.
+    pairs one dimension apart (Forman 1998).  There the check works on
+    packed cells: a pair is a cover when the two cells differ in one
+    member, held by the upper one, and the graph searched has an arrow
+    from pair ``k`` to pair ``k'`` when the lower cell of ``k'`` is a face
+    of the upper cell of ``k`` other than its lower cell.  A plain
+    :class:`Poset` need not be graded, so it gets the full modified Hasse
+    diagram.
     """
     if m._poset is p:
         lowers, uppers, critical = m._packed
@@ -143,26 +143,37 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
         def show(c: Hashable) -> Hashable:
             return c
 
+    graded = isinstance(p, HomPoset)
+    if graded:
+        n, w, packed = p.source.n, p._width, p._packed
+
+        def covers(i: int, j: int) -> bool:
+            # Cell j is cell i plus one member.  No cell has an empty
+            # block, so the member joins a block that cell i already fills.
+            d = packed[i] ^ packed[j]
+            return d & (d - 1) == 0 and packed[j] & d != 0
+
+    else:
+        succ = p._lower_covers(range(len(p)))
+
+        def covers(i: int, j: int) -> bool:
+            return i in succ[j]
+
     pairs = list(zip(map(locate, lowers), map(locate, uppers)))
     # Pairs up to the first with an unknown cell; that one fails unless an
     # earlier pair does.
     known = next(
         (k for k, (i, j) in enumerate(pairs) if i is None or j is None), len(pairs)
     )
-    graded = isinstance(p, HomPoset)
-    if graded:
-        below = p._lower_covers(j for _, j in pairs[:known])
-    else:
-        succ = p._lower_covers(range(len(p)))
-        below = [succ[j] for _, j in pairs[:known]]
     used: set[int] = set()
-    for k, ((i, j), faces) in enumerate(zip(pairs, below)):
-        if i not in faces:
+    for k, (i, j) in enumerate(pairs[:known]):
+        if not covers(i, j):
             a, b = show(lowers[k]), show(uppers[k])
             raise InvalidMatching(f"({a!r}, {b!r}) is not a covering pair")
         if i in used or j in used:
             raise InvalidMatching("a cell appears in two pairs")
-        used.update((i, j))
+        used.add(i)
+        used.add(j)
     if known < len(pairs):
         a, b = show(lowers[known]), show(uppers[known])
         raise InvalidMatching(f"pair ({a!r}, {b!r}) mentions unknown cells")
@@ -178,10 +189,12 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
         raise InvalidMatching("pairs and critical cells do not partition the poset")
 
     if graded:
-        pair_of = {i: k for k, (i, _) in enumerate(pairs)}
+        # One lookup per face: pair k's own lower cell, and faces that are
+        # the lower cell of no pair, map to k and are dropped.
+        pair_of = {packed[i]: k for k, (i, _) in enumerate(pairs)}.get
+        faces = _faces([packed[j] for _, j in pairs], n, w)
         succ = [
-            [pair_of[f] for f in faces if f != i and f in pair_of]
-            for (i, _), faces in zip(pairs, below)
+            [x for f in fs if (x := pair_of(f, k)) != k] for k, fs in enumerate(faces)
         ]
     else:
         # Modified Hasse diagram: matched covers point up, the rest down.

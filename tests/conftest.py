@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example
 from hypothesis import strategies as st
 
-from dihom import Digraph, SimplicialComplex, VertexMap
+from dihom import Digraph, MultiHom, SimplicialComplex, VertexMap, is_multihom
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -31,6 +31,18 @@ def brute_force_homs(g: Digraph, h: Digraph) -> list[VertexMap]:
     return found
 
 
+def brute_force_cells(g: Digraph, h: Digraph) -> list[tuple[int, ...]]:
+    """Mask tuples of every multihomomorphism, in lexicographic order, found
+    by trying all assignments of nonempty target sets."""
+    return [
+        masks
+        for masks in itertools.product(range(1, 1 << h.n), repeat=g.n)
+        if is_multihom(
+            MultiHom([t for t in range(h.n) if m >> t & 1] for m in masks), g, h
+        )
+    ]
+
+
 def digraphs(max_n: int) -> st.SearchStrategy[Digraph]:
     """Digraphs on 0 .. max_n vertices with arbitrary arcs, loops included."""
     return st.integers(min_value=0, max_value=max_n).flatmap(
@@ -42,6 +54,14 @@ def digraphs(max_n: int) -> st.SearchStrategy[Digraph]:
             else st.just([]),
         )
     )
+
+
+@st.composite
+def relabelled_digraphs(draw, max_n: int) -> Digraph:
+    """Digraphs on 0 .. max_n vertices under a drawn permutation, so arcs
+    point back to lower labels as often as forward."""
+    g = draw(digraphs(max_n))
+    return relabel(g, draw(st.permutations(range(g.n))))
 
 
 @st.composite
@@ -63,6 +83,21 @@ def edge_cases(test):
         (Digraph(0), Digraph(2, [(0, 1), (1, 1)])),
         (Digraph(2, [(0, 1)]), Digraph(3)),
         (Digraph(2), Digraph(2)),
+    ):
+        test = example(*pair)(test)
+    return test
+
+
+def back_pointing(test):
+    """Pin sources whose search order differs from label order, so their
+    cells are found out of order: a vertex left isolated between two
+    joined ones, and a reversed path."""
+    for pair in (
+        (Digraph(3, [(0, 2)]), Digraph(2, [(0, 0), (0, 1)])),
+        (
+            Digraph(4, [(3, 2), (2, 1), (1, 0)]),
+            Digraph(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]),
+        ),
     ):
         test = example(*pair)(test)
     return test

@@ -425,6 +425,15 @@ class TestRunMorse:
             "acyclic": True,
         }
 
+    def test_back_pointing_fan(self, capsys, graph_file):
+        # Arcs point back to lower labels; a search in label order took
+        # half a minute here.
+        path = graph_file(Digraph(5, [(1, 4), (4, 2), (4, 3)]))
+        out = run_json(capsys, "morse", path, "6")
+        assert out["cells"] == 35_343
+        assert out["critical"] == [[[5], [3], [5], [5], [4]]]
+        assert out["acyclic"] is True
+
     def test_cycle_source_is_a_domain_error(self, capsys, graph_file):
         path = graph_file(directed_cycle(3))
         assert run(["morse", path, "3"]) == 1

@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihom import (
     Digraph,
     InvalidRange,
     InvalidVertex,
     MalformedPartition,
-    MultiHom,
     ShapeMismatch,
     SizeCapExceeded,
     VertexMap,
@@ -26,7 +27,6 @@ from dihom import (
     has_homomorphism,
     induced_subgraph,
     is_homomorphism,
-    is_multihom,
     looped_part,
     product,
     quotient,
@@ -34,22 +34,21 @@ from dihom import (
     underlying_symmetrization,
 )
 from dihom.digraph import _arrows, _faces, _multihoms, _unpack
-from conftest import brute_force_homs, digraphs, edge_cases, random_digraph
+from conftest import (
+    back_pointing,
+    brute_force_cells,
+    brute_force_homs,
+    digraphs,
+    edge_cases,
+    random_digraph,
+    relabelled_digraphs,
+)
 
 
 small_digraphs = digraphs(3)
-
-
-def brute_force_cells(g: Digraph, h: Digraph) -> list[tuple[int, ...]]:
-    """Mask tuples of every multihomomorphism, in lexicographic order, found
-    by trying all assignments of nonempty target sets."""
-    return [
-        masks
-        for masks in itertools.product(range(1, 1 << h.n), repeat=g.n)
-        if is_multihom(
-            MultiHom([t for t in range(h.n) if m >> t & 1] for m in masks), g, h
-        )
-    ]
+# Sources whose arcs may point back to lower labels: the search must not
+# depend on the labels for its cells or their order.
+sources = st.one_of(small_digraphs, relabelled_digraphs(4))
 
 
 def dimension(masks: tuple[int, ...]) -> int:
@@ -61,6 +60,39 @@ def search(g: Digraph, h: Digraph, **kwargs) -> list[tuple[int, ...]]:
     cells = _multihoms(g, h, **kwargs)
     assert all(a < b for a, b in zip(cells, cells[1:]))
     return list(_unpack(cells, g.n, max(h.n, 1)))
+
+
+def search_nodes(g: Digraph, h: Digraph) -> tuple[int, int]:
+    """The number of calls of ``_multihoms``'s inner ``rec`` (one per search
+    node) and the number of cells, counted with a profile hook."""
+    consts = _multihoms.__code__.co_consts
+    rec = next(c for c in consts if getattr(c, "co_name", "") == "rec")
+    nodes = 0
+
+    def hook(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is rec:
+            nodes += 1
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        cells = _multihoms(g, h)
+    finally:
+        sys.setprofile(old)
+    return nodes, len(cells)
+
+
+def star(centre: int, out: bool) -> Digraph:
+    """The 4-leaf star on 5 vertices around ``centre``, arcs pointing out
+    of it or into it."""
+    leaves = [v for v in range(5) if v != centre]
+    return Digraph(5, [(centre, v) if out else (v, centre) for v in leaves])
+
+
+# A fan whose centre has the top label, and its forward-labelled copy.
+FAN = Digraph(5, [(1, 4), (4, 2), (4, 3)])
+FORWARD_FAN = Digraph(5, [(0, 1), (1, 2), (1, 3)])
 
 
 class TestDigraph:
@@ -261,8 +293,9 @@ class TestHomomorphisms:
 
 class TestMultihomSearch:
     @settings(max_examples=80, deadline=None)
-    @given(small_digraphs, small_digraphs)
+    @given(sources, small_digraphs)
     @edge_cases
+    @back_pointing
     def test_cells_match_brute_force(self, g, h):
         every = brute_force_cells(g, h)
         for max_dim in (0, 1, 2, None):
@@ -274,12 +307,20 @@ class TestMultihomSearch:
         assert has_homomorphism(g, h) == bool(homs)
 
     @settings(max_examples=80, deadline=None)
-    @given(small_digraphs, small_digraphs)
+    @given(sources, small_digraphs)
     @edge_cases
+    @back_pointing
     def test_limit_stops_early(self, g, h):
+        # ``limit`` bounds the count, not the prefix: the cells found come
+        # back ascending, and all of them once there are at most ``limit``.
         cells = _multihoms(g, h)
         for limit in {1, 2, len(cells) // 2 + 1, len(cells), len(cells) + 1}:
-            assert _multihoms(g, h, limit=limit) == cells[:limit]
+            found = _multihoms(g, h, limit=limit)
+            assert found == sorted(found)
+            assert set(found) <= set(cells)
+            assert len(found) == min(limit, len(cells))
+            if limit >= len(cells):
+                assert found == cells
 
     @settings(max_examples=80, deadline=None)
     @given(small_digraphs, small_digraphs)
@@ -304,6 +345,30 @@ class TestMultihomSearch:
         ]
         # One block is a simplex: its facets, members dropped in ascending order.
         assert list(_faces([0b1011, 0b1000], 1, 4)) == [[0b1010, 0b1001, 0b0011], []]
+
+
+class TestSearchOrder:
+    """The search places vertices in a connected order, so arcs that
+    point back to lower labels cost no more than forward ones."""
+
+    def test_fan_into_t6_makes_few_nodes_per_cell(self):
+        nodes, cells = search_nodes(FAN, transitive_tournament(6))
+        assert cells == 35_343
+        assert nodes < 2 * cells
+
+    @pytest.mark.parametrize(
+        "g, forward, n",
+        [
+            (FAN, FORWARD_FAN, 6),
+            (Digraph(5, [(0, 3), (3, 1), (1, 4), (4, 2)]), directed_path(5), 6),
+            # 4-leaf out- and in-stars centred on the top label
+            (star(4, out=True), star(0, out=True), 5),
+            (star(4, out=False), star(0, out=False), 5),
+        ],
+    )
+    def test_node_count_does_not_depend_on_labels(self, g, forward, n):
+        t = transitive_tournament(n)
+        assert search_nodes(g, t) == search_nodes(forward, t)
 
 
 class TestBipartiteDetection:

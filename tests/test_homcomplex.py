@@ -33,12 +33,15 @@ from dihom import (
 )
 
 from conftest import (
+    back_pointing,
+    brute_force_cells,
     brute_force_homs,
     digraphs,
     edge_cases,
     nbd_example_digraph,
     pentagon_tournament,
     random_digraph,
+    relabelled_digraphs,
 )
 
 
@@ -236,6 +239,14 @@ class TestHomPoset:
         minimal = p.minimal_cells()
         assert [c.singleton_map() for c in minimal] == enumerate_homomorphisms(g, h)
         assert minimal == [c for c in p if c.is_singleton()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_digraphs(4), digraphs(3))
+    @edge_cases
+    @back_pointing
+    def test_relabelled_sources_match_brute_force(self, g, h):
+        # Cells and their order do not depend on the source's labels.
+        assert [c.masks for c in hom_poset(g, h)] == brute_force_cells(g, h)
 
     def test_empty_when_no_homomorphism_exists(self):
         p = hom_poset(directed_cycle(3), transitive_tournament(5))
