@@ -11,11 +11,17 @@ between runs.
 
 Exit codes: 0 on success, 1 for domain errors (bad input files, empty hom
 sets, caps exceeded, ...), 2 for usage errors.
+
+:func:`run` may be called any number of times in one process.  It builds
+its parser on the first call and reuses it for every later one, so a call
+pays only for its own arguments, files and result; :func:`build_parser`
+returns a fresh parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -289,7 +295,7 @@ def _cmd_homotopy(ns: argparse.Namespace) -> Any:
     h = _load_graph(ns.target)
     f1 = _parse_map(ns.f)
     f2 = _parse_map(ns.g)
-    rel = _HomRelations(g, h)
+    rel = _HomRelations(g, h, ns.cap)
     return {
         "f": list(f1.image),
         "g": list(f2.image),
@@ -433,10 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on first use; parse_args leaves it as it was.
+_parser = functools.cache(build_parser)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -34,6 +34,7 @@ from .digraph import (
     _faces,
     _multihoms,
     _pack,
+    _shifts,
     _unpack,
 )
 from .errors import EmptyComplex, InvalidRange, ShapeMismatch, SizeCapExceeded
@@ -265,16 +266,40 @@ class HomPoset:
         """Alternating cell count of the polyhedral complex."""
         return sum((-1) ** d * k for d, k in self.dimension_census().items())
 
-    def components(self) -> list[list[MultiHom]]:
-        adj: list[list[int]] = [[] for _ in self._packed]
-        for i, j in self.covering_index_pairs():
+    def _skeleton_components(self) -> tuple[dict[int, int], list[list[int]]]:
+        """The 0-cells, numbered in ascending order, and the components of
+        the one-skeleton over those numbers."""
+        index, edges = _skeleton_cells(self._packed, self.source.n, self._width)
+        adj: list[list[int]] = [[] for _ in index]
+        for i, j in edges:
             adj[i].append(j)
             adj[j].append(i)
-        return [[self.cells[i] for i in c] for c in _graph.components(adj)]
+        return index, _graph.components(adj)
+
+    def components(self) -> list[list[MultiHom]]:
+        """The cells of each component, in order of their least cell.
+
+        A cell lies in the component of the 0-cell below it that keeps the
+        lowest member of each block, so only the one-skeleton is searched.
+        That 0-cell is also the least of the cells it is assigned, hence the
+        order."""
+        index, comps = self._skeleton_components()
+        label = [0] * len(index)
+        for k, comp in enumerate(comps):
+            for i in comp:
+                label[i] = k
+        # Every block is nonempty, so subtracting one from each borrows
+        # nothing across blocks, and ``c & ~(c - ones)`` keeps the lowest
+        # member of each.
+        ones = sum(1 << s for s in _shifts(self.source.n, self._width))
+        out: list[list[MultiHom]] = [[] for _ in comps]
+        for c, view in zip(self._packed, self.cells):
+            out[label[index[c & ~(c - ones)]]].append(view)
+        return out
 
     def is_connected(self) -> bool:
         # A complex is connected exactly when its one-skeleton is.
-        return _skeleton(self._packed, self.source.n, self._width).is_connected()
+        return len(self._skeleton_components()[1]) == 1
 
     def as_poset(self) -> Poset:
         covers = [
@@ -348,13 +373,18 @@ class HomSkeleton:
 
 def hom_one_skeleton(g: Digraph, h: Digraph) -> HomSkeleton:
     """Vertices and edges of the homomorphism complex of ``(g, h)``."""
-    return _skeleton(_multihoms(g, h, max_dim=1), g.n, max(h.n, 1))
+    n, w = g.n, max(h.n, 1)
+    index, edges = _skeleton_cells(_multihoms(g, h, max_dim=1), n, w)
+    return HomSkeleton(_decode_maps(index, n, w), edges)
 
 
-def _skeleton(cells: list[int], n: int, w: int) -> HomSkeleton:
-    """The one-skeleton of a downward-closed set of cells of ``n`` blocks
-    of ``w`` bits: each 1-cell joins its two faces, the 0-cells that drop
-    one member of its doubled block."""
+def _skeleton_cells(
+    cells: list[int], n: int, w: int
+) -> tuple[dict[int, int], list[list[int]]]:
+    """The 0-cells of ascending ``cells`` (downward closed, ``n`` blocks of
+    ``w`` bits), numbered in order, and the edges between those numbers:
+    each 1-cell joins its two faces, the 0-cells that drop one member of
+    its doubled block."""
     index: dict[int, int] = {}
     doubled = []
     for c in cells:
@@ -364,8 +394,7 @@ def _skeleton(cells: list[int], n: int, w: int) -> HomSkeleton:
         elif dim == 1:
             doubled.append(c)
     edges = [[index[f] for f in faces] for faces in _faces(doubled, n, w)]
-    maps = _decode_maps(index, n, w)
-    return HomSkeleton(maps, edges)
+    return index, edges
 
 
 # ---------------------------------------------------------------------------

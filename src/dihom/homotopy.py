@@ -28,11 +28,12 @@ from .digraph import (
     Digraph,
     VertexMap,
     _arrows,
-    enumerate_homomorphisms,
+    _decode_maps,
+    _multihoms,
     induced_subgraph,
     is_homomorphism,
 )
-from .errors import InvalidFold, NotAHomomorphism
+from .errors import InvalidFold, NotAHomomorphism, SizeCapExceeded
 from .homcomplex import hom_poset
 
 
@@ -110,11 +111,18 @@ def _require_hom(f: VertexMap, g: Digraph, h: Digraph) -> None:
 
 class _HomRelations:
     """The homomorphisms ``g -> h`` and the arrows between them, built once
-    and then queried for any of the three relations."""
+    and then queried for any of the three relations.
 
-    def __init__(self, g: Digraph, h: Digraph):
+    With ``cap`` the search stops after ``cap + 1`` maps and raises
+    :class:`SizeCapExceeded` when there are more than ``cap``."""
+
+    def __init__(self, g: Digraph, h: Digraph, cap: int | None = None):
         self.source, self.target = g, h
-        self.maps = enumerate_homomorphisms(g, h)
+        limit = None if cap is None else max(cap, 0) + 1
+        cells = _multihoms(g, h, max_dim=0, limit=limit)
+        if cap is not None and len(cells) > max(cap, 0):
+            raise SizeCapExceeded(f"homotopy: hom set exceeds cap of {cap} maps")
+        self.maps = _decode_maps(cells, g.n, max(h.n, 1))
         self.index = {f: i for i, f in enumerate(self.maps)}
         # Every homomorphism has an arrow to itself; such loops change no
         # reachability, so the adjacency lists keep them.

@@ -1,5 +1,6 @@
 """Tests for the command line front end and the graph text format."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import dihom
 from dihom import (
+    DEFAULT_CAP,
     Digraph,
     EmptyHom,
     HomSkeleton,
@@ -25,7 +27,7 @@ from dihom import (
     meet_path,
     transitive_tournament,
 )
-from dihom.cli import emit_digraph, parse_digraph, run
+from dihom.cli import build_parser, emit_digraph, parse_digraph, run
 
 from conftest import DATA_DIR, nbd_example_digraph
 
@@ -191,6 +193,18 @@ class TestRunHom:
         out = run_json(capsys, "hom", src, dst)
         assert out["homology"] == []
         assert len(calls) == 0
+
+    def test_connected_needs_no_vertex_maps(self, capsys, graph_file, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("vertex maps built")
+
+        monkeypatch.setattr(dihom.homcomplex, "HomSkeleton", fail)
+        monkeypatch.setattr(dihom.digraph.VertexMap, "__init__", fail)
+        src = graph_file(directed_path(3))
+        out = run_json(capsys, "hom", src, graph_file(directed_cycle(3)))
+        assert out["connected"] is False
+        out = run_json(capsys, "hom", src, graph_file(transitive_tournament(5)))
+        assert out["connected"] is True
 
     def test_former_order_complex_blow_up_finishes(self, capsys, graph_file):
         # 255 cells: its order complex took minutes to reduce.
@@ -374,7 +388,7 @@ class TestRunHomotopy:
         # Every hom search goes through _multihoms; hom_one_skeleton asks it
         # for 1-cells, so a single 0-cell search also rules the skeleton out.
         calls = []
-        for module in (dihom.digraph, dihom.homcomplex):
+        for module in (dihom.digraph, dihom.homcomplex, dihom.homotopy):
             original = module._multihoms
 
             def counted(*args, _original=original, **kwargs):
@@ -385,7 +399,20 @@ class TestRunHomotopy:
         g, h = homotopy_witness_pair()
         src, dst = graph_file(g), graph_file(h)
         run_json(capsys, "homotopy", src, dst, "0,1", "3,2")
-        assert calls == [{"max_dim": 0}]
+        assert calls == [{"max_dim": 0, "limit": DEFAULT_CAP + 1}]
+        run_json(capsys, "--cap", "6", "homotopy", src, dst, "0,1", "3,2")
+        assert calls[1:] == [{"max_dim": 0, "limit": 7}]
+
+    def test_cap_bounds_the_maps(self, capsys, graph_file):
+        # The witness pair has 6 homomorphisms.
+        g, h = homotopy_witness_pair()
+        src, dst = graph_file(g), graph_file(h)
+        assert run_json(capsys, "--cap", "6", "homotopy", src, dst, "0,1", "3,2")[
+            "dihomotopic"
+        ]
+        for cap in ("5", "3", "0", "-1"):
+            assert run(["--cap", cap, "homotopy", src, dst, "0,1", "3,2"]) == 1
+            assert f"exceeds cap of {cap} maps" in capsys.readouterr().err
 
 
 class TestRunCatalogues:
@@ -515,3 +542,52 @@ class TestRunPlumbing:
         out = capsys.readouterr().out
         assert "count: 2" in out
         assert "automorphisms" in out
+
+    def test_parser_is_built_once_and_build_parser_is_fresh(
+        self, capsys, graph_file, monkeypatch
+    ):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        path = graph_file(transitive_tournament(2))
+        run_json(capsys, "reconfig", path, "3")
+        run_json(capsys, "nbd", path)
+        assert built.count("dihom") <= 1
+        assert build_parser() is not build_parser()
+
+    def test_a_seed_does_not_stick(self, capsys, graph_file):
+        path = graph_file(transitive_tournament(2))
+        seeded = run_json(capsys, "--seed", "3", "reconfig", path, "5")
+        plain = run_json(capsys, "reconfig", path, "5")
+        ns = build_parser().parse_args(["reconfig", path, "5"])
+        assert plain == ns.func(ns)
+        # Unseeded, the sample path runs from the first map to the last.
+        assert plain["sample_path"]["from"] == [0, 1]
+        assert plain["sample_path"]["to"] == [3, 4]
+        assert seeded["sample_path"] != plain["sample_path"]
+
+    def test_check_leray_does_not_stick(self, capsys, graph_file):
+        path = graph_file(nbd_example_digraph())
+        assert "leray" in run_json(capsys, "nbd", path, "--check-leray", "1")
+        assert "leray" not in run_json(capsys, "nbd", path)
+
+    def test_table_format_does_not_stick(self, capsys):
+        assert run(["--format", "table", "tournaments", "3"]) == 0
+        assert "{" not in capsys.readouterr().out
+        assert run_json(capsys, "tournaments", "3")["count"] == 2
+
+    def test_errors_leave_the_parser_usable(self, capsys, graph_file):
+        src = graph_file(transitive_tournament(2))
+        dst = graph_file(transitive_tournament(4))
+        assert run(["--cap", "5", "hom", src, dst]) == 1
+        assert "exceeds cap of 5" in capsys.readouterr().err
+        assert run(["hom", src]) == 2
+        assert "usage:" in capsys.readouterr().err
+        out = run_json(capsys, "hom", src, dst)
+        assert out["cells"] == 17
+        assert out["connected"] is True

@@ -31,6 +31,7 @@ from dihom import (
     staircase_cells,
     transitive_tournament,
 )
+from dihom import _graph
 
 from conftest import (
     back_pointing,
@@ -294,11 +295,25 @@ class TestHomPoset:
             hom_poset(g, h, cap=16)
 
     @settings(max_examples=80, deadline=None)
-    @given(digraphs(3), digraphs(4))
+    @given(relabelled_digraphs(3), digraphs(4))
     @edge_cases
+    @back_pointing
+    @example(directed_cycle(3), directed_cycle(3))
+    @example(  # two disjoint triangles: two components with edges in each
+        Digraph(2, [(0, 1)]),
+        Digraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+    )
     def test_connected_iff_one_component(self, g, h):
+        # The oracle joins every cell to all its covers, not only the
+        # 0-cells to the 1-cells.
         p = hom_poset(g, h)
-        assert p.is_connected() == (len(p.components()) == 1)
+        adj = [[] for _ in range(len(p))]
+        for i, j in p.covering_index_pairs():
+            adj[i].append(j)
+            adj[j].append(i)
+        expected = [[p.cells[i] for i in c] for c in _graph.components(adj)]
+        assert p.components() == expected
+        assert p.is_connected() == (len(expected) == 1)
 
     def test_maximal_cells_of_edge_into_k4(self):
         p = hom_poset(transitive_tournament(2), transitive_tournament(4))
