@@ -105,9 +105,13 @@ def parse_digraph(text: str) -> Digraph:
     return Digraph(n, edges)
 
 
+def _graph_json(g: Digraph) -> dict[str, Any]:
+    return {"vertices": g.n, "edges": sorted(map(list, g.edges))}
+
+
 def emit_digraph(g: Digraph, labels: Sequence[str] | None = None) -> str:
     """Canonical text form of a digraph (sorted edges, stable key order)."""
-    doc: dict[str, Any] = {"vertices": g.n, "edges": sorted(map(list, g.edges))}
+    doc = _graph_json(g)
     if labels is not None:
         doc["labels"] = list(labels)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -145,10 +149,6 @@ def _homology_json(h: HomologyGroups) -> list[dict[str, Any]]:
         {"dim": d, "rank": h.rank(d), "torsion": list(h.torsion(d))}
         for d in h.degrees()
     ]
-
-
-def _graph_json(g: Digraph) -> dict[str, Any]:
-    return {"vertices": g.n, "edges": sorted(map(list, g.edges))}
 
 
 def _render(obj: Any, fmt: str) -> str:

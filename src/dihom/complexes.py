@@ -340,14 +340,6 @@ class Poset:
                     out.append((i, j))
         return out
 
-    def _lower_covers(self, js: Iterable[int]) -> list[list[int]]:
-        """The indices of the elements that element ``j`` covers, for each
-        ``j`` in ``js``."""
-        below: list[list[int]] = [[] for _ in self.elements]
-        for i, j in self.covering_index_pairs():
-            below[j].append(i)
-        return [below[j] for j in js]
-
     def covering_pairs(self) -> list[tuple[Hashable, Hashable]]:
         e = self.elements
         return [(e[i], e[j]) for i, j in self.covering_index_pairs()]

@@ -166,6 +166,45 @@ def sphere_tournament(n: int) -> Digraph:
 # ---------------------------------------------------------------------------
 
 
+def _least_orderings(g: Digraph) -> tuple[int, int]:
+    """The canonical key of ``g`` (see :func:`canonical_key`) and the
+    number of vertex orderings that reveal it.
+
+    Two orderings reveal the same bit string exactly when they differ by
+    an automorphism, so the orderings that reveal the key form one coset
+    of the automorphism group and their number is its order.
+    """
+    n = g.n
+    out = g._out
+    # A state is the mask of unplaced vertices and, for each unplaced w,
+    # the 2k bits w would reveal against the k placed vertices (0 for a
+    # placed vertex).  Only states whose prefix is least are kept, each
+    # with the number of orderings reaching it; equal states have equal
+    # completions, so merging them adds their counts.
+    states = {((1 << n) - 1, (0,) * n): 1}
+    key = 0
+    for k in range(n):
+        best = 2 << 2 * k  # above every (2k + 1)-bit segment
+        found: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (rem, prof), count in states.items():
+            for v in _bits(rem):
+                seg = (out[v] >> v & 1) << 2 * k | prof[v]
+                if seg > best:
+                    continue
+                if seg < best:
+                    best, found = seg, {}
+                rest = rem & ~(1 << v)
+                state = (rest, tuple(
+                    prof[w] << 2 | (out[w] >> v & 1) << 1 | out[v] >> w & 1
+                    if rest >> w & 1 else 0
+                    for w in range(n)
+                ))
+                found[state] = found.get(state, 0) + count
+        key = key << 2 * k + 1 | best
+        states = found
+    return key, sum(states.values())
+
+
 def canonical_key(g: Digraph) -> int:
     """A complete isomorphism invariant: the lexicographically smallest
     adjacency bit string over all vertex orderings.
@@ -175,33 +214,7 @@ def canonical_key(g: Digraph) -> int:
     previously placed vertex (both directions).  The result is packed into
     an integer, most significant bit first (``n * n`` bits total).
     """
-    n = g.n
-    out = g._out
-    # A state is the mask of unplaced vertices and, for each unplaced w,
-    # the 2k bits w would reveal against the k placed vertices (0 for a
-    # placed vertex).  Only states whose prefix is least are kept; equal
-    # states have equal completions, so a set merges them.
-    states = {((1 << n) - 1, (0,) * n)}
-    key = 0
-    for k in range(n):
-        best = 2 << 2 * k  # above every (2k + 1)-bit segment
-        found: set[tuple[int, tuple[int, ...]]] = set()
-        for rem, prof in states:
-            for v in _bits(rem):
-                seg = (out[v] >> v & 1) << 2 * k | prof[v]
-                if seg > best:
-                    continue
-                if seg < best:
-                    best, found = seg, set()
-                rest = rem & ~(1 << v)
-                found.add((rest, tuple(
-                    prof[w] << 2 | (out[w] >> v & 1) << 1 | out[v] >> w & 1
-                    if rest >> w & 1 else 0
-                    for w in range(n)
-                )))
-        key = key << 2 * k + 1 | best
-        states = found
-    return key
+    return _least_orderings(g)[0]
 
 
 def digraph_from_key(n: int, key: int) -> Digraph:
@@ -243,36 +256,11 @@ def is_isomorphic(g: Digraph, h: Digraph) -> bool:
 
 
 def automorphism_group_order(g: Digraph) -> int:
-    """Number of adjacency-preserving permutations of the vertices."""
-    n = g.n
-    profile = [(g.out_degree(v), g.in_degree(v), g.has_loop(v)) for v in range(n)]
-    count = 0
+    """Number of adjacency-preserving permutations of the vertices.
 
-    def extend(mapping: list[int], used: set[int]) -> None:
-        nonlocal count
-        v = len(mapping)
-        if v == n:
-            count += 1
-            return
-        for w in range(n):
-            if w in used or profile[w] != profile[v]:
-                continue
-            ok = True
-            for u in range(v):
-                if g.has_edge(v, u) != g.has_edge(w, mapping[u]) or g.has_edge(
-                    u, v
-                ) != g.has_edge(mapping[u], w):
-                    ok = False
-                    break
-            if ok:
-                mapping.append(w)
-                used.add(w)
-                extend(mapping, used)
-                mapping.pop()
-                used.remove(w)
-
-    extend([], set())
-    return count
+    Counted by the same search as :func:`canonical_key`, at the same cost:
+    the orderings that reveal the key are one coset of the group."""
+    return _least_orderings(g)[1]
 
 
 def enumerate_tournaments(n: int) -> list[Digraph]:

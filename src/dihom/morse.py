@@ -154,7 +154,9 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
             return d & (d - 1) == 0 and packed[j] & d != 0
 
     else:
-        succ = p._lower_covers(range(len(p)))
+        succ: list[list[int]] = [[] for _ in range(len(p))]
+        for i, j in p.covering_index_pairs():
+            succ[j].append(i)
 
         def covers(i: int, j: int) -> bool:
             return i in succ[j]

@@ -6,14 +6,22 @@ moves are needed?  Against transitive tournaments the answer is tight —
 the pointwise minimum of two homomorphisms is a homomorphism, and walking
 through it realizes the Hamming distance exactly.  So into ``T_n`` the
 skeleton is connected when nonempty, with diameter the count of vertices
-where the pointwise min and max of all maps differ; :func:`diameter` and
-:func:`is_connected_hom` search breadth-first, for any target.
+where the pointwise min and max of all maps differ.  For any target,
+:func:`is_connected_hom` labels the components of the 0- and 1-cells that
+one multihomomorphism search finds, and :func:`diameter` runs a
+breadth-first search from every map of the one-skeleton.
 """
 
 from __future__ import annotations
 
 from .constructions import enumerate_tournaments, transitive_tournament
-from .digraph import Digraph, VertexMap, has_homomorphism, is_homomorphism
+from .digraph import (
+    Digraph,
+    VertexMap,
+    _multihoms,
+    has_homomorphism,
+    is_homomorphism,
+)
 from .errors import (
     Disconnected,
     EmptyHom,
@@ -21,7 +29,7 @@ from .errors import (
     NotAHomomorphism,
     SizeCapExceeded,
 )
-from .homcomplex import hom_one_skeleton
+from .homcomplex import HomPoset, hom_one_skeleton
 
 
 def is_connected_hom(g: Digraph, h: Digraph) -> bool:
@@ -29,10 +37,10 @@ def is_connected_hom(g: Digraph, h: Digraph) -> bool:
 
     Raises :class:`EmptyHom` when there are no homomorphisms at all.
     """
-    sk = hom_one_skeleton(g, h)
-    if len(sk) == 0:
+    cells = _multihoms(g, h, max_dim=1)
+    if not cells:
         raise EmptyHom("no homomorphisms to connect")
-    return sk.is_connected()
+    return HomPoset._from_packed(g, h, cells).is_connected()
 
 
 def diameter(g: Digraph, h: Digraph) -> int:

@@ -4,7 +4,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -511,6 +514,21 @@ class TestRunPlumbing:
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    def test_module_entry_point(self):
+        # The package imports the CLI module, so running that module with
+        # -m warns; the package's own __main__ must not.
+        env = {**os.environ, "PYTHONPATH": str(Path(dihom.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "dihom", "tournaments", "3"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["count"] == 2
 
     def test_missing_file(self, capsys, tmp_path):
         assert run(["nbd", str(tmp_path / "nope.json")]) == 1

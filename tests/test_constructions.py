@@ -153,6 +153,15 @@ def ordering_key(g: Digraph, order: tuple[int, ...]) -> int:
     return key
 
 
+def brute_force_automorphisms(g: Digraph) -> int:
+    """The permutations ``p`` with ``{(p[u], p[v]) for (u, v) in E} == E``."""
+    edges = set(g.edges)
+    return sum(
+        {(p[u], p[v]) for u, v in edges} == edges
+        for p in itertools.permutations(range(g.n))
+    )
+
+
 # A sparse 10-vertex digraph with two isolated vertices and a loop: many
 # orderings tie for long stretches of the search.
 SPARSE_10 = Digraph(
@@ -168,6 +177,7 @@ class TestCanonicalKeyOracle:
             for mask in range(1 << len(pairs)):
                 g = Digraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
                 assert canonical_key(g) == brute_force_key(g)
+                assert automorphism_group_order(g) == brute_force_automorphisms(g)
                 count += 1
         assert count == 531
 
@@ -179,6 +189,9 @@ class TestCanonicalKeyOracle:
                     for _ in range(3):
                         g = random_digraph(rng, n, p, loops)
                         assert canonical_key(g) == brute_force_key(g)
+                        assert automorphism_group_order(g) == (
+                            brute_force_automorphisms(g)
+                        )
 
     def test_frozen_keys(self):
         assert [canonical_key(t) for t in enumerate_tournaments(5)] == [
@@ -241,6 +254,10 @@ class TestCanonicalForms:
         assert automorphism_group_order(transitive_tournament(4)) == 1
         assert automorphism_group_order(Digraph(4)) == math.factorial(4)
         assert automorphism_group_order(Digraph(2, [(0, 1), (1, 0)])) == 2
+        assert automorphism_group_order(Digraph(0)) == 1
+        # 12! orderings reveal the key of the empty digraph; the search
+        # merges them into 2 ** 12 states instead of visiting each.
+        assert automorphism_group_order(Digraph(12)) == math.factorial(12)
 
     def test_orbit_counting(self, rng):
         # |orbit| * |stabilizer| = n! lets us cross-check the two primitives.

@@ -1,7 +1,10 @@
 """Tests for reconfiguration walks and oriented chromatic numbers."""
 
+import random
+
 import pytest
 
+import dihom
 from dihom import (
     Digraph,
     Disconnected,
@@ -15,6 +18,7 @@ from dihom import (
     directed_cycle,
     enumerate_homomorphisms,
     has_homomorphism,
+    hom_one_skeleton,
     is_connected_hom,
     is_homomorphism,
     is_multihom,
@@ -23,7 +27,7 @@ from dihom import (
     transitive_tournament,
 )
 
-from conftest import random_dag
+from conftest import random_dag, random_digraph
 
 
 def hamming(a: VertexMap, b: VertexMap) -> int:
@@ -38,6 +42,29 @@ class TestConnectivity:
         assert not is_connected_hom(directed_cycle(3), directed_cycle(3))
 
     def test_no_homomorphisms_raises(self):
+        with pytest.raises(EmptyHom):
+            is_connected_hom(directed_cycle(3), transitive_tournament(5))
+
+    def test_connected_needs_no_skeleton(self, monkeypatch):
+        pairs = [
+            (transitive_tournament(2), transitive_tournament(3)),
+            (directed_cycle(3), directed_cycle(3)),
+            # Two maps differing at one looped vertex, with no edge.
+            (Digraph(1, [(0, 0)]), Digraph(2, [(0, 0), (1, 1)])),
+        ]
+        rng = random.Random(3)
+        for _ in range(40):
+            pairs.append((random_digraph(rng, 3), random_digraph(rng, 4, p=0.6)))
+        pairs = [(g, h) for g, h in pairs if has_homomorphism(g, h)]
+        expected = [hom_one_skeleton(g, h).is_connected() for g, h in pairs]
+        assert True in expected and False in expected
+
+        def fail(*args, **kwargs):
+            raise AssertionError("skeleton built")
+
+        monkeypatch.setattr(dihom.homcomplex, "HomSkeleton", fail)
+        monkeypatch.setattr(dihom.digraph.VertexMap, "__init__", fail)
+        assert [is_connected_hom(g, h) for g, h in pairs] == expected
         with pytest.raises(EmptyHom):
             is_connected_hom(directed_cycle(3), transitive_tournament(5))
 
