@@ -63,6 +63,8 @@ def parse_digraph(text: str) -> Digraph:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.lineno, e.colno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object at the top level")
     unknown = set(doc) - {"vertices", "edges", "labels"}
@@ -226,13 +228,18 @@ def _cmd_hom(ns: argparse.Namespace) -> Any:
 def _cmd_nbd(ns: argparse.Namespace) -> Any:
     g = _load_graph(ns.graph)
     nb = out_neighborhood_complex(g)
+    h = reduced_homology(nb)
+    # The Euler characteristic is read off the homology, so no face is
+    # enumerated.  A graph with no vertices gives the void complex, which
+    # has no faces and characteristic 0.
+    euler = 0 if nb.is_void else 1 + sum((-1) ** d * h.rank(d) for d in h.degrees())
     # The in-complex always has the same homology, so one block covers both.
     out: dict[str, Any] = {
         "vertices": list(nb.vertices),
         "out_facets": sorted(sorted(f) for f in nb.facets),
         "in_facets": sorted(sorted(f) for f in in_neighborhood_complex(g).facets),
-        "euler_characteristic": nb.euler_characteristic(),
-        "homology": _homology_json(reduced_homology(nb)),
+        "euler_characteristic": euler,
+        "homology": _homology_json(h),
     }
     if ns.check_leray is not None:
         cert = is_n_leray(nb, ns.check_leray)

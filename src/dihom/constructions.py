@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .digraph import Digraph, _bits, product, quotient
+from .digraph import Digraph, _bits, _check_vertex_count, product, quotient
 from .errors import InvalidRange, InvalidSize, InvalidVariant, SizeCapExceeded
 
 
@@ -19,6 +19,7 @@ def transitive_tournament(n: int) -> Digraph:
     """The transitive tournament: edge ``(i, j)`` for every ``i < j``."""
     if n < 1:
         raise InvalidSize(f"transitive tournament needs n >= 1, got {n}")
+    _check_vertex_count(n)
     return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -145,6 +146,7 @@ def sphere_tournament(n: int) -> Digraph:
     """
     if n < 1:
         raise InvalidSize(f"sphere tournament needs n >= 1, got {n}")
+    _check_vertex_count(2 * n + 3)
     if n == 1:
         outs = {0: {3}, 1: {0, 4}, 2: {0, 1}, 3: {1, 2}, 4: {0, 2, 3}}
     else:

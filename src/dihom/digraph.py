@@ -45,6 +45,13 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _check_vertex_count(n: int) -> None:
+    """Raise :class:`SizeCapExceeded` for more than ``MAX_VERTICES``
+    vertices.  Constructors call it before they build an edge list."""
+    if n > MAX_VERTICES:
+        raise SizeCapExceeded(f"at most {MAX_VERTICES} vertices supported, got {n}")
+
+
 class Digraph:
     """An immutable directed graph on vertices ``0 .. n-1``.
 
@@ -64,8 +71,7 @@ class Digraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InvalidVertex(f"vertex count must be non-negative, got {n}")
-        if n > MAX_VERTICES:
-            raise SizeCapExceeded(f"at most {MAX_VERTICES} vertices supported, got {n}")
+        _check_vertex_count(n)
         out = [0] * n
         inn = [0] * n
         for u, v in edges:

@@ -16,6 +16,17 @@ point has trivial homology everywhere, and the empty complex (whose only
 face is the empty set) has one unit of homology in degree ``-1``.  The
 void complex has no homology at all.
 
+A simplicial complex is first reduced through its facets.  The facets
+cover it and every intersection of facets is a simplex, so the complex
+has the homotopy type of its facet nerve: one vertex per facet, one
+simplex per set of facets with a common vertex (Borsuk 1948; Björner
+2003, "Nerves, fibers and homotopy groups").  The nerve is taken again
+while it has fewer vertices than the complex it replaces, and only the
+survivor's faces go to the chains.  The Leray check reads each link off
+the facets too, and visits only the faces that are intersections of
+facets: every facet holding any other face ``f`` also holds some vertex
+outside ``f``, so the link of ``f`` is a cone.
+
 The Smith normal form routine is a sparse, pure-integer elimination;
 Python's arbitrary-precision arithmetic means entry growth is a speed
 concern, not a correctness one.
@@ -27,7 +38,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import Poset, SimplicialComplex, _face_order, order_complex
-from .digraph import DEFAULT_CAP, _faces
+from .digraph import DEFAULT_CAP, _bits, _faces, _mask_of
 from .homcomplex import HomPoset
 
 
@@ -275,8 +286,47 @@ def _simplicial_chains(
 
 
 def reduced_homology(x: SimplicialComplex) -> HomologyGroups:
-    """Reduced integral homology of a simplicial complex."""
-    return _homology(*_simplicial_chains(x))
+    """Reduced integral homology of a simplicial complex, computed on its
+    iterated facet nerve (see the module docstring); no face of ``x``
+    itself is enumerated unless the nerve is no smaller."""
+    return _facet_homology(_facet_masks(x))
+
+
+def _facet_masks(x: SimplicialComplex) -> list[int]:
+    """The facets of ``x`` as position bitmasks, in ascending order."""
+    return sorted(_mask_of(x._pos[v] for v in f) for f in x.facets)
+
+
+def _facet_homology(tops: Sequence[int]) -> HomologyGroups:
+    """Reduced homology of the complex whose facets are the distinct,
+    pairwise incomparable bitmasks ``tops`` (none for the void complex).
+
+    While there are fewer facets than vertices, the complex is replaced by
+    its facet nerve, whose facets are the maximal sets of facets sharing a
+    vertex.  One facet left is a simplex: a cone, or the empty complex."""
+    while len(tops) > 1:
+        holders: dict[int, int] = {}
+        for i, t in enumerate(tops):
+            for v in _bits(t):
+                holders[v] = holders.get(v, 0) | 1 << i
+        if len(tops) >= len(holders):
+            break
+        nerve = sorted(set(holders.values()), key=int.bit_count, reverse=True)
+        tops = []
+        for h in nerve:
+            if all(h & t != h for t in tops):
+                tops.append(h)
+    if not tops:
+        return HomologyGroups()
+    if len(tops) == 1:
+        return HomologyGroups({} if tops[0] else {-1: 1})
+    faces: set[int] = set()
+    for t in tops:
+        sub = t
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & t
+    return _homology(*_cellular_chains(sorted(faces), 1, max(tops).bit_length()))
 
 
 def _homology(
@@ -384,16 +434,20 @@ def is_n_leray(x: SimplicialComplex, n: int) -> LerayCertificate:
     itself too) has trivial reduced homology in degrees ``>= n``.
 
     Faces are visited by dimension, then by face key, and the first
-    failing one is the witness.  The link of face ``f`` is read off the
-    face masks as ``{g ^ f : g ⊋ f}`` and goes straight to the chains.
+    failing one is the witness.  Only the empty face and the intersections
+    of facets are visited: the link of any other face is a cone.  The
+    link of face ``f`` has the facets ``{t ^ f : t ⊇ f}`` over the facets
+    ``t``, and its homology comes from :func:`_facet_homology`.
     """
-    if x.is_void:
-        return LerayCertificate(True)
-    masks = x._face_masks()
-    w = max(len(x.vertices), 1)
-    for f in [0, *sorted(masks, key=_face_order)]:
-        link = [g ^ f for g in masks if g & f == f and g != f]
-        for d in _homology(*_cellular_chains(link, 1, w)).degrees():
+    tops = _facet_masks(x)
+    meets = set(tops)
+    fresh = meets
+    while fresh:
+        fresh = {a & t for a in fresh for t in tops} - meets
+        meets |= fresh
+    for f in sorted(meets | {0}, key=_face_order):
+        link = [t ^ f for t in tops if t & f == f]
+        for d in _facet_homology(link).degrees():
             if d >= n:
                 return LerayCertificate(False, x._face(f), d)
     return LerayCertificate(True)

@@ -22,12 +22,15 @@ from dihom import (
     EmptyHom,
     HomSkeleton,
     ParseError,
+    SimplicialComplex,
     diameter,
     directed_cycle,
     directed_path,
     hom_one_skeleton,
     homotopy_witness_pair,
     meet_path,
+    out_neighborhood_complex,
+    sphere_tournament,
     transitive_tournament,
 )
 from dihom.cli import build_parser, emit_digraph, parse_digraph, run
@@ -254,6 +257,36 @@ class TestRunNbd:
         out = run_json(capsys, "nbd", path, "--check-leray", "1")
         assert out["leray"]["holds"] is True
         assert out["leray"]["witness_face"] is None
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Digraph(0),
+            Digraph(3),
+            nbd_example_digraph(),
+            directed_cycle(4),
+            sphere_tournament(2),
+            Digraph(6, [(0, 1), (0, 2), (3, 4), (3, 5), (1, 2), (4, 5)]),
+        ],
+    )
+    def test_euler_characteristic_matches_the_face_count(self, capsys, graph_file, g):
+        # The command reads it off the homology; the face count is the oracle.
+        out = run_json(capsys, "nbd", graph_file(g))
+        assert out["euler_characteristic"] == out_neighborhood_complex(g).euler_characteristic()
+
+    def test_large_transitive_tournament_enumerates_no_faces(
+        self, capsys, graph_file, monkeypatch
+    ):
+        # One facet of 39 vertices: expanding it would mean 2^39 faces.
+        def fail(*args, **kwargs):
+            raise AssertionError("faces enumerated")
+
+        monkeypatch.setattr(SimplicialComplex, "_face_masks", fail)
+        path = graph_file(transitive_tournament(40))
+        out = run_json(capsys, "nbd", path, "--check-leray", "1")
+        assert out["euler_characteristic"] == 1
+        assert out["homology"] == []
+        assert out["leray"]["holds"] is True
 
 
 class TestRunFold:
@@ -533,6 +566,14 @@ class TestRunPlumbing:
     def test_missing_file(self, capsys, tmp_path):
         assert run(["nbd", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_deeply_nested_json_is_a_parse_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert run(["nbd", str(deep)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "deep.json" in err
+        assert err.count("\n") == 1
 
     def test_parse_error_names_the_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import dihom.constructions
 from dihom import (
     Digraph,
     InvalidRange,
@@ -67,6 +68,17 @@ class TestFamilies:
     def test_size_validation(self, bad):
         with pytest.raises(InvalidSize):
             bad()
+
+    @pytest.mark.parametrize("family", [transitive_tournament, sphere_tournament])
+    def test_size_cap_before_edges(self, family, monkeypatch):
+        # The check must come before the quadratic edge list, so the graph
+        # is never built.
+        def fail(*args, **kwargs):
+            raise AssertionError("Digraph built")
+
+        monkeypatch.setattr(dihom.constructions, "Digraph", fail)
+        with pytest.raises(SizeCapExceeded):
+            family(65)
 
     def test_interval_family(self):
         # n indexes the number of steps, so there are n + 1 looped vertices.

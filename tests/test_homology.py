@@ -18,6 +18,7 @@ from dihom import (
     SizeCapExceeded,
     directed_cycle,
     empty_complex,
+    enumerate_tournaments,
     face_poset,
     full_simplex,
     hom_poset,
@@ -30,6 +31,7 @@ from dihom import (
     smith_normal_form,
     sphere_homology,
     sphere_tournament,
+    transitive_tournament,
     void_complex,
 )
 from dihom.homology import _cellular_chains, _homology
@@ -234,6 +236,17 @@ class TestReducedHomology:
         assert h.rank(1) == 0 and h.rank(2) == 0
         assert h.torsion(1) == (2,)
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_tournament_classes_match_the_edge_hom_complex(self, n):
+        # The paper's theorem (acceptance c09e) is a second route: the out-
+        # neighbourhood complex of T has the homology of Hom(arc, T).
+        arc = Digraph(2, [(0, 1)])
+        for t in enumerate_tournaments(n):
+            x = out_neighborhood_complex(t)
+            h = reduced_homology(x)
+            assert h == homology_of_poset(hom_poset(arc, t)), t.edges
+            assert h == reference_homology(x), t.edges
+
     def test_disjoint_circles(self):
         faces = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
         x = SimplicialComplex(range(6), faces)
@@ -248,6 +261,15 @@ class TestReducedHomology:
         (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
         (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
     ]))
+    # A cone over a 4-cycle: contractible, but the link of the apex 4 is a
+    # circle, so the witness is {4} in degree 1, not the empty face.
+    @example(SimplicialComplex(range(5), [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]))
+    # A listed vertex in no face, and facets of unequal size.
+    @example(SimplicialComplex([3, 0, 2, 1], [(0,), (1, 2)]))
+    # Two circles, so the nerve has two components.
+    @example(SimplicialComplex(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    # A 2-sphere from the paper, whose nerve is no smaller.
+    @example(out_neighborhood_complex(sphere_tournament(2)))
     def test_homology_and_leray_match_reference(self, x):
         assert reduced_homology(x) == reference_homology(x)
         failures = reference_leray_failures(x)
@@ -423,9 +445,22 @@ class TestLeray:
         monkeypatch.setattr(SimplicialComplex, "link", counting("link", SimplicialComplex.link))
         monkeypatch.setattr(dihom.homology, "ChainComplex", counting("ChainComplex", ChainComplex))
         x = out_neighborhood_complex(sphere_tournament(2))
-        # n = 3 holds, so every face's link is examined.
+        # n = 3 holds, so no failing face cuts the scan short.
         assert bool(is_n_leray(x, 3))
         assert calls == []
+
+    def test_large_transitive_tournament_reads_only_facets(self, monkeypatch):
+        # One facet of 39 vertices: expanding it would mean 2^39 faces.
+        def fail(*args, **kwargs):
+            raise AssertionError("faces enumerated")
+
+        x = out_neighborhood_complex(transitive_tournament(40))
+        monkeypatch.setattr(SimplicialComplex, "_face_masks", fail)
+        assert reduced_homology(x).is_trivial
+        assert bool(is_n_leray(x, 0))
+        # The facet's link is the empty complex, with homology in degree -1.
+        cert = is_n_leray(x, -1)
+        assert (cert.witness_face, cert.witness_degree) == (frozenset(range(1, 40)), -1)
 
     def test_circle_complex(self):
         from dihom import out_neighborhood_complex, sphere_tournament
