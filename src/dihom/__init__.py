@@ -115,12 +115,10 @@ from .morse import (
     tournament_matching,
 )
 from .homotopy import (
-    DismantlabilityReport,
     HomotopyClasses,
     all_folds,
     bihomotopic,
     dihomotopic,
-    dismantlable_iff_connected_check,
     find_fold,
     fold,
     homotopy_classes,

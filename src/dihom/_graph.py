@@ -1,8 +1,9 @@
-"""Traversals of graphs given as adjacency lists on vertices ``0 .. n-1``.
+"""Traversals of graphs on vertices ``0 .. n-1``.
 
 Every reachability question the package asks goes through one of these:
 components of hom complexes and their one-skeleta, paths between
-homomorphisms, acyclicity of Morse matchings and of DAG sources.
+homomorphisms, acyclicity of Morse matchings and of DAG sources.  Most take
+adjacency lists; :func:`reach` takes one successor bitset per vertex.
 """
 
 from __future__ import annotations
@@ -22,6 +23,19 @@ def bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
                 dist[w] = d
                 queue.append(w)
     return dist
+
+
+def reach(adj: Sequence[int], start: int) -> int:
+    """The bitset of vertices reachable from ``start``, itself included,
+    when the successors of ``v`` are the set bits of ``adj[v]``."""
+    seen = todo = 1 << start
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        todo |= new
+    return seen
 
 
 def components(adj: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -353,11 +353,10 @@ class Poset:
 
     def is_connected(self) -> bool:
         """Connectivity of the comparability graph (empty poset: False)."""
-        adj: list[list[int]] = [[] for _ in self.elements]
-        for i, j in self.covering_index_pairs():
-            adj[i].append(j)
-            adj[j].append(i)
-        return len(_graph.components(adj)) == 1
+        if not self.elements:
+            return False
+        adj = [u | d for u, d in zip(self._up, self.down_masks())]
+        return _graph.reach(adj, 0) == (1 << len(adj)) - 1
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements)"

@@ -258,7 +258,7 @@ def exponential(h: Digraph, g: Digraph, cap: int = DEFAULT_CAP) -> Digraph:
             f"exponential would have {count} vertices (limit {MAX_VERTICES})"
         )
     maps = exponential_maps(h, g)
-    edges = [(i, j) for i, succ in enumerate(_arrows(g, h, maps)) for j in succ]
+    edges = [(i, j) for i, succ in enumerate(_arrows(g, h, maps)) for j in _bits(succ)]
     return Digraph(count, edges)
 
 
@@ -490,24 +490,39 @@ def _common(nbrs: Sequence[int], mask: int, full: int) -> int:
     return full
 
 
-def _arrows(g: Digraph, h: Digraph, maps: Sequence[VertexMap]) -> list[list[int]]:
-    """Successor lists of the arrows of ``h ** g`` among ``maps``.
+def _arrows(g: Digraph, h: Digraph, maps: Sequence[VertexMap]) -> list[int]:
+    """Successor bitsets of the arrows of ``h ** g`` among ``maps``.
 
-    ``f -> f2`` when ``(f(v), f2(w))`` is an edge of ``h`` for every edge
-    ``(v, w)`` of ``g``.  Each map is packed as one bit per (vertex, value)
-    and each map's reach as, at every vertex ``w``, the common
-    out-neighborhood of its values on the in-neighbors of ``w``; an arrow is
-    then one mask test.
+    Bit ``j`` of entry ``i`` is set when ``maps[i] -> maps[j]``, that is
+    when ``(f(v), f2(w))`` is an edge of ``h`` for every edge ``(v, w)`` of
+    ``g``.  With ``at[w][t]`` the bitset of maps taking value ``t`` at
+    ``w``, the successors of ``f`` are the AND over ``w`` of the OR of
+    ``at[w][t]`` over the common out-neighborhood of ``f``'s values on the
+    in-neighbors of ``w``: one pass over the maps, no per-pair test.  Maps
+    that agree on those in-neighbors share the OR, so it is memoized.  The
+    predecessors are the arrows of ``g.reverse()`` into ``h.reverse()``.
     """
-    full, shifts = (1 << h.n) - 1, _shifts(g.n, max(h.n, 1))
-    packed = [sum(1 << t << s for t, s in zip(f.image, shifts)) for f in maps]
+    full = (1 << h.n) - 1
+    at = [[0] * h.n for _ in range(g.n)]
+    for j, f in enumerate(maps):
+        for w, t in enumerate(f.image):
+            at[w][t] |= 1 << j
+    # A vertex with no in-neighbor constrains nothing.  Each other vertex
+    # keeps its in-neighbors, its ``at`` row and its memo of unions.
+    heads = [(list(_bits(g._in[w])), at[w], {}) for w in range(g.n) if g._in[w]]
+    everything = (1 << len(maps)) - 1
     succ = []
     for f in maps:
-        reach = 0
-        for w, s in enumerate(shifts):
-            values = _mask_of(f.image[v] for v in _bits(g._in[w]))
-            reach |= _common(h._out, values, full) << s
-        succ.append([j for j, p in enumerate(packed) if not p & ~reach])
+        image, s = f.image, everything
+        for tails, by_value, memo in heads:
+            allowed = full
+            for v in tails:
+                allowed &= h._out[image[v]]
+            if (union := memo.get(allowed)) is None:
+                # The rows are disjoint, so their sum is their union.
+                union = memo[allowed] = sum(by_value[t] for t in _bits(allowed))
+            s &= union
+        succ.append(s)
     return succ
 
 

@@ -16,25 +16,28 @@ edge ``(v, w)`` of ``G``:
   same connected component of the hom complex);
 * *dihomotopic*: joined by a directed path (a preorder, not symmetric);
 * *line-homotopic*: joined by a path of arrows ignoring direction.
+
+The arrows are computed once, as one successor bitset per homomorphism in
+a single pass over the maps (``digraph._arrows``), and the predecessors as
+the arrows of the reversed pair.  The mutual arrows are their AND, the
+arrows either way their OR, and every question above is one bitset
+reachability search (``_graph.reach``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from . import _graph
 from .digraph import (
-    DEFAULT_CAP,
     Digraph,
     VertexMap,
     _arrows,
+    _bits,
     _decode_maps,
     _multihoms,
     induced_subgraph,
     is_homomorphism,
 )
 from .errors import InvalidFold, NotAHomomorphism, SizeCapExceeded
-from .homcomplex import hom_poset
 
 
 def all_folds(g: Digraph) -> list[tuple[int, int]]:
@@ -113,6 +116,8 @@ class _HomRelations:
     """The homomorphisms ``g -> h`` and the arrows between them, built once
     and then queried for any of the three relations.
 
+    Each relation is one successor bitset per map over map indices: ``di``
+    the arrows, ``bi`` the mutual arrows, ``line`` the arrows either way.
     With ``cap`` the search stops after ``cap + 1`` maps and raises
     :class:`SizeCapExceeded` when there are more than ``cap``."""
 
@@ -125,20 +130,17 @@ class _HomRelations:
         self.maps = _decode_maps(cells, g.n, max(h.n, 1))
         self.index = {f: i for i, f in enumerate(self.maps)}
         # Every homomorphism has an arrow to itself; such loops change no
-        # reachability, so the adjacency lists keep them.
+        # reachability, so the bitsets keep them.
         succ = _arrows(g, h, self.maps)
-        pred: list[list[int]] = [[] for _ in succ]
-        for i, js in enumerate(succ):
-            for j in js:
-                pred[j].append(i)
+        pred = _arrows(g.reverse(), h.reverse(), self.maps)
         self.di_adj = succ
-        self.bi_adj = [sorted(set(s).intersection(p)) for s, p in zip(succ, pred)]
-        self.line_adj = [sorted(set(s).union(p)) for s, p in zip(succ, pred)]
+        self.bi_adj = [s & p for s, p in zip(succ, pred)]
+        self.line_adj = [s | p for s, p in zip(succ, pred)]
 
-    def _joined(self, adj: list[list[int]], f: VertexMap, g: VertexMap) -> bool:
+    def _joined(self, adj: list[int], f: VertexMap, g: VertexMap) -> bool:
         for m in (f, g):
             _require_hom(m, self.source, self.target)
-        return _graph.bfs_distances(adj, self.index[f])[self.index[g]] >= 0
+        return bool(_graph.reach(adj, self.index[f]) >> self.index[g] & 1)
 
     def bihomotopic(self, f: VertexMap, g: VertexMap) -> bool:
         return self._joined(self.bi_adj, f, g)
@@ -212,83 +214,20 @@ def homotopy_classes(
         raise ValueError(f"unknown relation {relation!r}")
     rel = _HomRelations(source, target)
     adj = rel.bi_adj if relation == "bi" else rel.line_adj
-    # Components come in order of their least index, and the maps are in
-    # lexicographic order, so the classes are sorted by their least map.
-    classes = [frozenset(rel.maps[i] for i in c) for c in _graph.components(adj)]
+    # Both relations are symmetric, so each class is what its least
+    # unvisited map reaches; the maps are in lexicographic order, so the
+    # classes are sorted by their least map.
+    classes = []
+    left = (1 << len(rel.maps)) - 1
+    while left:
+        c = _graph.reach(adj, (left & -left).bit_length() - 1)
+        classes.append(frozenset(rel.maps[i] for i in _bits(c)))
+        left &= ~c
     preorder = None
     if relation == "di":
         preorder = tuple(
             (f, rel.maps[j])
             for i, f in enumerate(rel.maps)
-            for j, d in enumerate(_graph.bfs_distances(rel.di_adj, i))
-            if d >= 0
+            for j in _bits(_graph.reach(rel.di_adj, i))
         )
     return HomotopyClasses(relation, tuple(classes), preorder)
-
-
-# ---------------------------------------------------------------------------
-# Dismantlability versus connectivity of hom posets
-# ---------------------------------------------------------------------------
-
-
-class DismantlabilityReport:
-    """Comparison of ``is_dismantlable`` with hom poset connectivity.
-
-    ``results`` holds ``(witness, status)`` pairs with status one of
-    ``"connected"``, ``"disconnected"``, ``"empty"``.  A dismantlable
-    digraph must see every status ``"connected"``; ``violations`` collects
-    witnesses contradicting that, and the report is truthy when there are
-    none.  (For a non-dismantlable digraph a finite witness list can never
-    prove anything, so all-connected there is not a violation.)
-    """
-
-    __slots__ = ("graph", "dismantlable", "results", "violations")
-
-    def __init__(self, graph, dismantlable, results, violations):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "dismantlable", dismantlable)
-        object.__setattr__(self, "results", results)
-        object.__setattr__(self, "violations", violations)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("DismantlabilityReport is immutable")
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __repr__(self) -> str:
-        state = "ok" if self.ok else f"{len(self.violations)} violations"
-        return f"DismantlabilityReport(dismantlable={self.dismantlable}, {state})"
-
-
-def dismantlable_iff_connected_check(
-    g: Digraph,
-    witnesses: Iterable[Digraph] = (),
-    cap: int = DEFAULT_CAP,
-) -> DismantlabilityReport:
-    """Probe the equivalence "dismantlable iff every hom poset into the
-    digraph is connected" on a list of witness sources.
-
-    The digraph itself is always tested first (the self-test is what drives
-    the hard direction of the equivalence).  An empty hom poset counts as
-    not connected.
-    """
-    dismantlable = is_dismantlable(g)
-    results = []
-    violations = []
-    for t in (g, *witnesses):
-        p = hom_poset(t, g, cap)
-        if len(p) == 0:
-            status = "empty"
-        elif p.is_connected():
-            status = "connected"
-        else:
-            status = "disconnected"
-        results.append((t, status))
-        if dismantlable and status != "connected":
-            violations.append(t)
-    return DismantlabilityReport(g, dismantlable, tuple(results), tuple(violations))

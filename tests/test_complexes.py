@@ -29,6 +29,8 @@ from dihom import (
     universality_graph,
     void_complex,
 )
+from dihom._graph import components
+
 from conftest import nbd_example_digraph, random_digraph
 
 
@@ -139,6 +141,28 @@ class TestPoset:
         antichain = Poset([0, 1, 2], [])
         assert not antichain.is_connected()
         assert not Poset([], []).is_connected()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+            )
+        )
+    )
+    @example((3, [(0, 2), (1, 2)]))
+    @example((4, [(0, 1), (2, 1), (2, 3)]))
+    def test_connectivity_matches_the_covers_route(self, drawn):
+        # Comparability and the cover relation have the same components; the
+        # examples are connected only through a path that goes down and up.
+        n, pairs = drawn
+        p = Poset.from_covers(range(n), [(i, j) for i, j in pairs if i < j])
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for i, j in p.covering_index_pairs():
+            adj[i].append(j)
+            adj[j].append(i)
+        assert p.is_connected() == (len(components(adj)) == 1)
 
     def test_product(self):
         chain2 = Poset.from_covers([0, 1], [(0, 1)])

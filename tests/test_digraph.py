@@ -33,7 +33,7 @@ from dihom import (
     transitive_tournament,
     underlying_symmetrization,
 )
-from dihom.digraph import _arrows, _faces, _multihoms, _unpack
+from dihom.digraph import _arrows, _bits, _faces, _multihoms, _unpack
 from conftest import (
     back_pointing,
     brute_force_cells,
@@ -335,7 +335,13 @@ class TestMultihomSearch:
             ]
             for f in maps
         ]
-        assert _arrows(g, h, maps) == expected
+        assert [list(_bits(s)) for s in _arrows(g, h, maps)] == expected
+        # The reversed pair gives the transposed relation: the predecessors.
+        transposed = [
+            [i for i, js in enumerate(expected) if j in js] for j in range(len(maps))
+        ]
+        pred = _arrows(g.reverse(), h.reverse(), maps)
+        assert [list(_bits(s)) for s in pred] == transposed
 
     def test_faces_drop_one_member_of_a_doubled_block(self):
         # Two 3-bit blocks, vertex 0 high: [{1, 2}, {0, 1}] and [{2}, {0}].

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihom._graph import bfs_distances, components, topological_order
+from dihom._graph import bfs_distances, components, reach, topological_order
 
 # Successor lists of digraphs on up to 6 vertices; loops and repeated arcs
 # are allowed, and n = 0 gives the empty graph.
@@ -42,12 +42,15 @@ def symmetric(succ: list[list[int]]) -> list[list[int]]:
 @settings(max_examples=150, deadline=None)
 @given(successor_lists)
 def test_bfs_distances_are_shortest_path_lengths(succ):
-    reach = closure(succ)
+    # The bitset closure ``reach`` must reach exactly what the search does.
+    paths = closure(succ)
+    masks = [sum(1 << w for w in set(ws)) for ws in succ]
     for s in range(len(succ)):
         dist = bfs_distances(succ, s)
+        reached = reach(masks, s)
         assert dist[s] == 0
         for v in range(len(succ)):
-            assert (dist[v] >= 0) == (v == s or reach[s][v])
+            assert (dist[v] >= 0) == (v == s or paths[s][v]) == bool(reached >> v & 1)
         # Distances are shortest: no arc shortcuts them, and every reached
         # vertex but the start has a predecessor one step closer.
         for u, ws in enumerate(succ):

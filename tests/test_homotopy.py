@@ -1,6 +1,7 @@
 """Tests for folds, stiff reductions, and the three homotopy relations."""
 
 import pytest
+from hypothesis import example, given, settings
 
 from dihom import (
     Digraph,
@@ -11,7 +12,6 @@ from dihom import (
     bihomotopic,
     dihomotopic,
     directed_cycle,
-    dismantlable_iff_connected_check,
     enumerate_homomorphisms,
     find_fold,
     fold,
@@ -26,7 +26,10 @@ from dihom import (
     transitive_tournament,
 )
 
-from conftest import random_digraph
+from dihom._graph import bfs_distances
+from dihom.homotopy import _HomRelations
+
+from conftest import brute_force_homs, digraphs, random_digraph
 
 
 def looped_clique(n: int) -> Digraph:
@@ -239,26 +242,68 @@ class TestBihomotopyMatchesSkeleton:
         assert checked >= 10
 
 
-class TestDismantlabilityCheck:
-    def test_dismantlable_target_sees_only_connected_posets(self):
-        rep = dismantlable_iff_connected_check(
-            looped_clique(3),
-            [Digraph(1, [(0, 0)]), Digraph(2, [(0, 1), (1, 0)])],
-        )
-        assert rep.dismantlable
-        assert [status for _, status in rep.results] == ["connected"] * 3
-        assert rep.ok
-        assert bool(rep)
+def reference_relations(g: Digraph, h: Digraph):
+    """The homomorphisms in lexicographic order and the ``bi``, ``di`` and
+    ``line`` adjacency lists, from the pairwise arrow rule, inverted
+    predecessor lists and set operations."""
+    maps = brute_force_homs(g, h)
+    succ = [
+        [
+            j
+            for j, m in enumerate(maps)
+            if all(h.has_edge(f(v), m(w)) for v, w in g.edges)
+        ]
+        for f in maps
+    ]
+    pred: list[list[int]] = [[] for _ in maps]
+    for i, js in enumerate(succ):
+        for j in js:
+            pred[j].append(i)
+    adj = {
+        "bi": [sorted(set(s) & set(p)) for s, p in zip(succ, pred)],
+        "di": succ,
+        "line": [sorted(set(s) | set(p)) for s, p in zip(succ, pred)],
+    }
+    return maps, adj
 
-    def test_two_loops_fail_the_self_test(self):
-        rep = dismantlable_iff_connected_check(Digraph(2, [(0, 0), (1, 1)]))
-        assert not rep.dismantlable
-        assert rep.results[0][1] == "disconnected"
-        # Disconnection is consistent with non-dismantlability, not a bug.
-        assert rep.ok
 
-    def test_empty_poset_counts_as_disconnected(self):
-        rep = dismantlable_iff_connected_check(
-            Digraph(1, []), [Digraph(1, [(0, 0)])]
-        )
-        assert [status for _, status in rep.results] == ["connected", "empty"]
+class TestRelationsMatchAllPairs:
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(3), digraphs(4))
+    @example(*homotopy_witness_pair())
+    @example(Digraph(0), Digraph(2, [(0, 1)]))
+    @example(Digraph(2, [(0, 1)]), Digraph(0))
+    def test_relations_and_classes(self, g, h):
+        maps, adj = reference_relations(g, h)
+        reached = {
+            r: [[d >= 0 for d in bfs_distances(a, i)] for i in range(len(maps))]
+            for r, a in adj.items()
+        }
+        rel = _HomRelations(g, h)
+        assert rel.maps == maps
+        for i, f in enumerate(maps):
+            for j, m in enumerate(maps):
+                assert rel.bihomotopic(f, m) == reached["bi"][i][j]
+                assert rel.dihomotopic(f, m) == reached["di"][i][j]
+                assert rel.line_homotopic(f, m) == reached["line"][i][j]
+        for relation in ("bi", "di", "line"):
+            # Classes in order of their least map, as a search from each
+            # least unvisited map finds them.
+            symmetric = reached["bi" if relation == "bi" else "line"]
+            classes, seen = [], set()
+            for i in range(len(maps)):
+                if i not in seen:
+                    c = [j for j in range(len(maps)) if symmetric[i][j]]
+                    seen.update(c)
+                    classes.append(frozenset(maps[j] for j in c))
+            hc = homotopy_classes(g, h, relation)
+            assert hc.classes == tuple(classes)
+            if relation == "di":
+                assert hc.preorder == tuple(
+                    (f, maps[j])
+                    for i, f in enumerate(maps)
+                    for j in range(len(maps))
+                    if reached["di"][i][j]
+                )
+            else:
+                assert hc.preorder is None
