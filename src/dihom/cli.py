@@ -210,12 +210,14 @@ def _cmd_hom(ns: argparse.Namespace) -> Any:
     g = _load_graph(ns.source)
     h = _load_graph(ns.target)
     p = hom_poset(g, h, ns.cap)
-    census = sorted(p.dimension_census().items())
+    # The 0-cells are the homomorphisms, and the Euler characteristic is
+    # the alternating sum of the same census.
+    census = p.dimension_census()
     out: dict[str, Any] = {
         "cells": len(p),
-        "dimension_census": [[d, c] for d, c in census],
-        "euler_characteristic": p.euler_characteristic(),
-        "homomorphisms": len(p.minimal_cells()),
+        "dimension_census": [[d, c] for d, c in sorted(census.items())],
+        "euler_characteristic": sum((-1) ** d * c for d, c in census.items()),
+        "homomorphisms": census.get(0, 0),
         "connected": p.is_connected(),
     }
     if 0 < len(p) <= _HOMOLOGY_CELL_LIMIT:
@@ -359,8 +361,9 @@ def _cmd_sphere(ns: argparse.Namespace) -> Any:
 
 def _cmd_morse(ns: argparse.Namespace) -> Any:
     g = _load_graph(ns.graph)
-    p = hom_poset(g, transitive_tournament(ns.n), ns.cap)
-    matching = tournament_matching(g, ns.n, ns.cap, poset=p)
+    # The matching checks the source against T_n before it searches.
+    matching = tournament_matching(g, ns.n, ns.cap)
+    p = matching._poset
     return {
         "cells": len(p),
         "pairs": matching._sizes()[0],

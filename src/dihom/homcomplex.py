@@ -15,6 +15,7 @@ carries a doubled assignment are the edges of :func:`hom_one_skeleton`.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from . import _graph
@@ -156,8 +157,10 @@ class HomPoset:
     source vertex with vertex 0 in the most significant block, and the
     cells are sorted by that int: lexicographic by mask tuple, which is
     not :meth:`MultiHom.key` order (``{0, 1}`` comes after ``{1}``).  The
-    0-cells are still in lexicographic map order.  :class:`MultiHom` is
-    only the view at the boundary: :attr:`cells` is built on first use.
+    0-cells are still in lexicographic map order.  The sorted packed
+    cells are all that is kept per cell: ``in`` and :meth:`index` bisect
+    them, and :class:`MultiHom` is only the view at the boundary
+    (:attr:`cells` is built on first use).
     A cell's faces come from :func:`digraph._faces` (drop one member of
     a block that holds two or more), the same rule the chain complex,
     the one-skeleton and the Morse check use; because the cell set is
@@ -166,7 +169,7 @@ class HomPoset:
     multihomomorphism ``source -> target`` or whose face is missing.
     """
 
-    __slots__ = ("source", "target", "_width", "_packed", "_index", "_cells")
+    __slots__ = ("source", "target", "_width", "_packed", "_cells")
 
     def __init__(self, source: Digraph, target: Digraph, cells: Iterable[MultiHom]):
         n, w = source.n, max(target.n, 1)
@@ -183,21 +186,11 @@ class HomPoset:
                 raise ShapeMismatch(f"{c!r} is in the cells but a face of it is not")
         self._fill(source, target, sorted(packed))
 
-    @classmethod
-    def _from_packed(
-        cls, source: Digraph, target: Digraph, packed: list[int]
-    ) -> "HomPoset":
-        """A poset over ``packed``, which must already be strictly ascending."""
-        obj = object.__new__(cls)
-        obj._fill(source, target, packed)
-        return obj
-
     def _fill(self, source: Digraph, target: Digraph, packed: list[int]) -> None:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_width", max(target.n, 1))
         object.__setattr__(self, "_packed", packed)
-        object.__setattr__(self, "_index", {c: i for i, c in enumerate(packed)})
         object.__setattr__(self, "_cells", None)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
@@ -222,7 +215,10 @@ class HomPoset:
         """The index of ``cell``, or ``None`` when it is not a cell here."""
         if not isinstance(cell, MultiHom):
             return None
-        return self._index.get(_pack(cell.masks, self.source.n, self._width))
+        k = _pack(cell.masks, self.source.n, self._width)
+        # A mask that ``_pack`` rejects is ``None``, which equals no cell.
+        i = bisect_left(self._packed, k or 0)
+        return i if self._packed[i : i + 1] == [k] else None
 
     def __contains__(self, cell: object) -> bool:
         return self._find(cell) is not None
@@ -250,7 +246,7 @@ class HomPoset:
 
     def covering_index_pairs(self) -> list[tuple[int, int]]:
         """All covers ``(i, j)``: cell ``i`` is cell ``j`` minus one member."""
-        index = self._index
+        index = {c: i for i, c in enumerate(self._packed)}
         faces = _faces(self._packed, self.source.n, self._width)
         return [(index[f], j) for j, fs in enumerate(faces) for f in fs]
 
@@ -266,16 +262,6 @@ class HomPoset:
         """Alternating cell count of the polyhedral complex."""
         return sum((-1) ** d * k for d, k in self.dimension_census().items())
 
-    def _skeleton_components(self) -> tuple[dict[int, int], list[list[int]]]:
-        """The 0-cells, numbered in ascending order, and the components of
-        the one-skeleton over those numbers."""
-        index, edges = _skeleton_cells(self._packed, self.source.n, self._width)
-        adj: list[list[int]] = [[] for _ in index]
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return index, _graph.components(adj)
-
     def components(self) -> list[list[MultiHom]]:
         """The cells of each component, in order of their least cell.
 
@@ -283,7 +269,8 @@ class HomPoset:
         lowest member of each block, so only the one-skeleton is searched.
         That 0-cell is also the least of the cells it is assigned, hence the
         order."""
-        index, comps = self._skeleton_components()
+        index, adj = _skeleton(self._packed, self.source.n, self._width)
+        comps = _graph.components(adj)
         label = [0] * len(index)
         for k, comp in enumerate(comps):
             for i in comp:
@@ -299,7 +286,8 @@ class HomPoset:
 
     def is_connected(self) -> bool:
         # A complex is connected exactly when its one-skeleton is.
-        return len(self._skeleton_components()[1]) == 1
+        adj = _skeleton(self._packed, self.source.n, self._width)[1]
+        return len(_graph.components(adj)) == 1
 
     def as_poset(self) -> Poset:
         covers = [
@@ -317,7 +305,10 @@ def hom_poset(g: Digraph, h: Digraph, cap: int = DEFAULT_CAP) -> HomPoset:
     cells = _multihoms(g, h, limit=max(cap, 0) + 1)
     if len(cells) > max(cap, 0):
         raise SizeCapExceeded(f"hom poset exceeds cap of {cap} cells")
-    return HomPoset._from_packed(g, h, cells)
+    # The search's cells are strictly ascending already.
+    p = object.__new__(HomPoset)
+    p._fill(g, h, cells)
+    return p
 
 
 class HomSkeleton:
@@ -330,19 +321,16 @@ class HomSkeleton:
     not enough if the two values there are not interchangeable (see the
     tests for a two-looped-vertices example where the skeleton stays
     edgeless).
+
+    Only the maps, their ascending neighbour tuples and the map index are
+    stored; :attr:`edges` is derived from the neighbours when it is read.
     """
 
-    __slots__ = ("maps", "edges", "_adj", "_index")
+    __slots__ = ("maps", "_adj", "_index")
 
-    def __init__(self, maps: Iterable[VertexMap], edges: Iterable[tuple[int, int]]):
+    def __init__(self, maps: Iterable[VertexMap], adj: Iterable[Iterable[int]]):
         ms = tuple(maps)
-        es = frozenset(tuple(sorted(e)) for e in edges)
-        adj: list[list[int]] = [[] for _ in ms]
-        for i, j in sorted(es):
-            adj[i].append(j)
-            adj[j].append(i)
         object.__setattr__(self, "maps", ms)
-        object.__setattr__(self, "edges", es)
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(ms)})
 
@@ -351,6 +339,11 @@ class HomSkeleton:
 
     def __len__(self) -> int:
         return len(self.maps)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The adjacent pairs ``(i, j)`` of map indices, ``i < j``."""
+        return frozenset((i, j) for i, js in enumerate(self._adj) for j in js if i < j)
 
     def index(self, f: VertexMap) -> int:
         return self._index[f]
@@ -374,17 +367,22 @@ class HomSkeleton:
 def hom_one_skeleton(g: Digraph, h: Digraph) -> HomSkeleton:
     """Vertices and edges of the homomorphism complex of ``(g, h)``."""
     n, w = g.n, max(h.n, 1)
-    index, edges = _skeleton_cells(_multihoms(g, h, max_dim=1), n, w)
-    return HomSkeleton(_decode_maps(index, n, w), edges)
+    index, adj = _skeleton(_multihoms(g, h, max_dim=1), n, w)
+    return HomSkeleton(_decode_maps(index, n, w), adj)
 
 
-def _skeleton_cells(
-    cells: list[int], n: int, w: int
+def _skeleton(
+    cells: Iterable[int], n: int, w: int
 ) -> tuple[dict[int, int], list[list[int]]]:
-    """The 0-cells of ascending ``cells`` (downward closed, ``n`` blocks of
-    ``w`` bits), numbered in order, and the edges between those numbers:
-    each 1-cell joins its two faces, the 0-cells that drop one member of
-    its doubled block."""
+    """The one-skeleton of ascending ``cells`` (downward closed, ``n``
+    blocks of ``w`` bits).
+
+    Returns ``(index, adj)``: ``index`` numbers the 0-cells in ascending
+    order, and ``adj[i]`` lists the neighbours of 0-cell ``i`` in ascending
+    order.  Each 1-cell joins its two faces under :func:`digraph._faces`,
+    the 0-cells that drop one member of its doubled block.  Every
+    connectivity and reconfiguration question reads this builder.
+    """
     index: dict[int, int] = {}
     doubled = []
     for c in cells:
@@ -393,8 +391,14 @@ def _skeleton_cells(
             index[c] = len(index)
         elif dim == 1:
             doubled.append(c)
-    edges = [[index[f] for f in faces] for faces in _faces(doubled, n, w)]
-    return index, edges
+    adj: list[list[int]] = [[] for _ in index]
+    for a, b in _faces(doubled, n, w):
+        i, j = index[a], index[b]
+        adj[i].append(j)
+        adj[j].append(i)
+    for js in adj:
+        js.sort()
+    return index, adj
 
 
 # ---------------------------------------------------------------------------

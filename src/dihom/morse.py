@@ -129,7 +129,7 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     """
     if m._poset is p:
         lowers, uppers, critical = m._packed
-        locate = p._index.get
+        locate = {c: i for i, c in enumerate(p._packed)}.get
 
         def show(c: Hashable) -> Hashable:
             return next(p._views((c,)))
@@ -238,14 +238,16 @@ def tournament_matching(
     Raises :class:`NotAcyclic` for non-DAGs, :class:`EmptyHom` when
     there is no homomorphism (a directed path on more than ``n`` vertices)
     and :class:`ShapeMismatch` when ``poset`` is given but is not the hom
-    poset of ``(g, T_n)``.
+    poset of ``(g, T_n)``.  ``T_n`` is built first, so a bad ``n`` is
+    reported before anything about ``g``, and ``g`` is peeled before any
+    search, so the first two errors come at once.
     """
+    t = transitive_tournament(n)
     level = _peel_levels(g)
     if g.n and max(level) >= n:
         raise EmptyHom(
             f"no homomorphism: longest directed path has {max(level) + 1} vertices"
         )
-    t = transitive_tournament(n)
     if poset is None:
         poset = hom_poset(g, t, cap)
     elif poset.source != g or poset.target != t:

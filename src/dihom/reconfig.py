@@ -6,14 +6,16 @@ moves are needed?  Against transitive tournaments the answer is tight —
 the pointwise minimum of two homomorphisms is a homomorphism, and walking
 through it realizes the Hamming distance exactly.  So into ``T_n`` the
 skeleton is connected when nonempty, with diameter the count of vertices
-where the pointwise min and max of all maps differ.  For any target,
-:func:`is_connected_hom` labels the components of the 0- and 1-cells that
-one multihomomorphism search finds, and :func:`diameter` runs a
-breadth-first search from every map of the one-skeleton.
+where the pointwise min and max of all maps differ.  For any target, both
+:func:`is_connected_hom` and :func:`diameter` read the adjacency that
+``homcomplex._skeleton`` builds from the 0- and 1-cells of one
+multihomomorphism search: the first labels its components, the second
+runs a breadth-first search from every map.  Neither builds a vertex map.
 """
 
 from __future__ import annotations
 
+from . import _graph
 from .constructions import enumerate_tournaments, transitive_tournament
 from .digraph import (
     Digraph,
@@ -29,7 +31,7 @@ from .errors import (
     NotAHomomorphism,
     SizeCapExceeded,
 )
-from .homcomplex import HomPoset, hom_one_skeleton
+from .homcomplex import _skeleton
 
 
 def is_connected_hom(g: Digraph, h: Digraph) -> bool:
@@ -37,10 +39,10 @@ def is_connected_hom(g: Digraph, h: Digraph) -> bool:
 
     Raises :class:`EmptyHom` when there are no homomorphisms at all.
     """
-    cells = _multihoms(g, h, max_dim=1)
-    if not cells:
+    adj = _skeleton(_multihoms(g, h, max_dim=1), g.n, max(h.n, 1))[1]
+    if not adj:
         raise EmptyHom("no homomorphisms to connect")
-    return HomPoset._from_packed(g, h, cells).is_connected()
+    return len(_graph.components(adj)) == 1
 
 
 def diameter(g: Digraph, h: Digraph) -> int:
@@ -51,12 +53,12 @@ def diameter(g: Digraph, h: Digraph) -> int:
     and max of all maps, differ).  Raises :class:`EmptyHom` with no maps
     and :class:`Disconnected` when some pair is unreachable.
     """
-    sk = hom_one_skeleton(g, h)
-    if len(sk) == 0:
+    adj = _skeleton(_multihoms(g, h, max_dim=1), g.n, max(h.n, 1))[1]
+    if not adj:
         raise EmptyHom("no homomorphisms")
     best = 0
-    for start in range(len(sk)):
-        dist = sk.bfs_distances(start)
+    for start in range(len(adj)):
+        dist = _graph.bfs_distances(adj, start)
         if min(dist) < 0:
             raise Disconnected("the hom complex is not connected")
         best = max(best, max(dist))

@@ -502,6 +502,35 @@ class TestRunMorse:
         assert run(["morse", path, "3"]) == 1
         assert "cycle" in capsys.readouterr().err
 
+    def test_bad_source_is_reported_before_any_search(
+        self, capsys, graph_file, monkeypatch
+    ):
+        # A 40-vertex path into T_39 has no homomorphism; a search that
+        # ran first would not finish.
+        def fail(*args, **kwargs):
+            raise AssertionError("hom search ran")
+
+        monkeypatch.setattr(dihom.homcomplex, "_multihoms", fail)
+        monkeypatch.setattr(dihom.morse, "hom_poset", fail)
+        assert run(["morse", graph_file(directed_path(40)), "39"]) == 1
+        assert "longest directed path has 40 vertices" in capsys.readouterr().err
+        assert run(["morse", graph_file(directed_cycle(3)), "3"]) == 1
+        assert "cycle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "g,n,message",
+        [
+            (directed_path(3), "0", "transitive tournament needs n >= 1, got 0"),
+            (directed_cycle(3), "0", "transitive tournament needs n >= 1, got 0"),
+            (Digraph(2, [(0, 1)]), "65", "at most 64 vertices supported, got 65"),
+        ],
+    )
+    def test_bad_tournament_size_is_reported_first(
+        self, capsys, graph_file, g, n, message
+    ):
+        assert run(["morse", graph_file(g), n]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_packed_cells_need_no_sort_key_and_one_covers_pass(
         self, capsys, graph_file, monkeypatch
     ):

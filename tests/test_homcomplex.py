@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 
 from dihom import (
     Digraph,
+    Disconnected,
     EmptyComplex,
+    EmptyHom,
     HomPoset,
     InvalidRange,
     MultiHom,
@@ -20,9 +22,11 @@ from dihom import (
     directed_cycle,
     directed_path,
     complete_bipartite_digraph,
+    diameter,
     enumerate_homomorphisms,
     hom_one_skeleton,
     hom_poset,
+    is_connected_hom,
     is_multihom,
     multihom_of_map,
     out_neighborhood_complex,
@@ -172,6 +176,14 @@ class TestHomPoset:
         assert cell in p
         assert list(p)[p.index(cell)] == cell
         assert MultiHom([{0, 1}, {1}]) not in p
+        # Lookups bisect the sorted cells; these pack past either end.
+        above, below = MultiHom([{3}, {3}]), MultiHom([{0}, {0}])
+        assert above.masks > max(c.masks for c in p)
+        assert below.masks < min(c.masks for c in p)
+        for outside in (above, below):
+            assert outside not in p
+            with pytest.raises(KeyError):
+                p.index(outside)
 
     def test_members_past_the_block_width_do_not_alias(self):
         # Packed 4 bits per vertex with vertex 1 lowest, member 4 of
@@ -388,6 +400,27 @@ class TestOneSkeleton:
         sk = hom_one_skeleton(g, h)
         assert list(sk.maps) == maps
         assert sk.edges == expected
+        adj = [[] for _ in maps]
+        for i, j in expected:
+            adj[i].append(j)
+            adj[j].append(i)
+        for i in range(len(sk)):
+            assert list(sk.neighbors(i)) == sorted(adj[i])
+        comps = _graph.components(adj)
+        assert sk.components() == comps
+        if not maps:
+            with pytest.raises(EmptyHom):
+                is_connected_hom(g, h)
+            return
+        assert is_connected_hom(g, h) == (len(comps) == 1)
+        if len(comps) > 1:
+            with pytest.raises(Disconnected):
+                diameter(g, h)
+        elif len(maps) <= 64:
+            # A search from every map is quadratic; the T_24 examples
+            # have hundreds of maps.
+            dist = [_graph.bfs_distances(adj, i) for i in range(len(maps))]
+            assert diameter(g, h) == max(map(max, dist))
 
     def test_only_pairs_are_formed_in_a_large_target(self):
         # Every two of the 64 values form a 1-cell.  A search that walked
