@@ -37,11 +37,11 @@ from .constructions import (
     transitive_tournament,
 )
 from .digraph import DEFAULT_CAP, Digraph, VertexMap, _decode_maps, _multihoms
-from .errors import DihomError, EmptyHom, ParseError, SizeCapExceeded
+from .errors import DihomError, EmptyHom, NotAcyclic, ParseError, SizeCapExceeded
 from .homcomplex import hom_poset
 from .homology import HomologyGroups, homology_of_poset, is_n_leray, reduced_homology
 from .homotopy import _fold_to_stiff, _HomRelations, _is_looped_point
-from .morse import is_acyclic_matching, tournament_matching
+from .morse import _peel_levels, is_acyclic_matching, tournament_matching
 from .reconfig import meet_path
 
 # Posets larger than this skip the homology computation in `hom` output.
@@ -269,12 +269,19 @@ def _cmd_fold(ns: argparse.Namespace) -> Any:
 def _cmd_reconfig(ns: argparse.Namespace) -> Any:
     g = _load_graph(ns.graph)
     cap = max(ns.cap, 0)
-    cells = _multihoms(g, transitive_tournament(ns.n), max_dim=1, limit=cap + 1)
+    t = transitive_tournament(ns.n)
+    # A map into T_n exists exactly when the source is acyclic with peel
+    # levels below n, so a source without one fails before any search.
+    try:
+        empty = g.n > 0 and max(_peel_levels(g)) >= ns.n
+    except NotAcyclic:
+        empty = True
+    if empty:
+        raise EmptyHom(f"no homomorphisms into the transitive tournament T_{ns.n}")
+    cells = _multihoms(g, t, max_dim=1, limit=cap + 1)
     if len(cells) > cap:
         raise SizeCapExceeded(f"hom one-skeleton exceeds cap of {ns.cap} cells")
     maps = [c for c in cells if c.bit_count() == g.n]
-    if not maps:
-        raise EmptyHom(f"no homomorphisms into the transitive tournament T_{ns.n}")
     # Into T_n the skeleton is connected, and its diameter is the Hamming
     # distance of the pointwise min and max maps, the first and the last.
     out: dict[str, Any] = {

@@ -407,9 +407,10 @@ def _multihoms(
     """The multihomomorphisms ``g -> h`` of dimension at most ``max_dim``,
     as cells in ascending order.
 
-    With ``limit`` the search stops after ``limit`` cells and returns the
-    cells found so far, ascending: all of them when there are at most
-    ``limit``, otherwise ``limit`` cells that need not be the smallest.
+    With a positive ``limit`` the search stops after ``limit`` cells and
+    returns the first ``limit`` cells it found, ascending: all of them when
+    there are at most ``limit``, otherwise cells that need not be the
+    smallest.
 
     Backtracks over the vertices in maximum-cardinality search order over
     the undirected adjacency of ``g``: next the vertex with the most
@@ -421,6 +422,10 @@ def _multihoms(
     to lower labels prune as soon as forward ones do; the labels only break
     ties.  Each set is packed at its vertex's own block, and one sort
     restores the ascending order.
+
+    Unbounded, the last vertex of the order makes no call per cell: its
+    admissible sets are appended straight to the cell list, one at a time
+    until ``limit``.
     """
     n = g.n
     full = (1 << h.n) - 1
@@ -445,6 +450,7 @@ def _multihoms(
         placed |= 1 << v
     cells: list[int] = []
     masks = [0] * n
+    last = n - 1
 
     def rec(i: int, acc: int, budget: int | None) -> bool:
         """Extend the first ``i`` placements, packed in ``acc``, spending
@@ -460,6 +466,13 @@ def _multihoms(
             allowed &= ci(masks[u])
         if budget is None:
             s = 0
+            if i == last:
+                while s := (s - allowed) & allowed:
+                    if not loop or s & ~co(s) == 0:
+                        cells.append(acc | s << shift)
+                        if len(cells) == limit:
+                            return True
+                return False
             while s := (s - allowed) & allowed:
                 if not loop or s & ~co(s) == 0:
                     masks[v] = s

@@ -20,7 +20,7 @@ from typing import Hashable, Iterable
 from . import _graph
 from .complexes import Poset, SimplicialComplex
 from .constructions import transitive_tournament
-from .digraph import DEFAULT_CAP, Digraph, _bits, _faces, _mask_of, _shifts
+from .digraph import DEFAULT_CAP, Digraph, _bits, _mask_of, _shifts
 from .errors import (
     EmptyHom,
     InvalidMatching,
@@ -123,9 +123,12 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     packed cells: a pair is a cover when the two cells differ in one
     member, held by the upper one, and the graph searched has an arrow
     from pair ``k`` to pair ``k'`` when the lower cell of ``k'`` is a face
-    of the upper cell of ``k`` other than its lower cell.  A plain
-    :class:`Poset` need not be graded, so it gets the full modified Hasse
-    diagram.
+    of the upper cell of ``k`` other than its lower cell.  The faces are
+    those of :func:`digraph._faces`, walked in place: most faces are the
+    lower cell of no pair, so testing each one as it is formed, before
+    any lookup, is cheaper than building a face list per upper cell.  A
+    plain :class:`Poset` need not be graded, so it gets the full modified
+    Hasse diagram.
     """
     if m._poset is p:
         lowers, uppers, critical = m._packed
@@ -145,21 +148,11 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
 
     graded = isinstance(p, HomPoset)
     if graded:
-        n, w, packed = p.source.n, p._width, p._packed
-
-        def covers(i: int, j: int) -> bool:
-            # Cell j is cell i plus one member.  No cell has an empty
-            # block, so the member joins a block that cell i already fills.
-            d = packed[i] ^ packed[j]
-            return d & (d - 1) == 0 and packed[j] & d != 0
-
+        packed = p._packed
     else:
         succ: list[list[int]] = [[] for _ in range(len(p))]
         for i, j in p.covering_index_pairs():
             succ[j].append(i)
-
-        def covers(i: int, j: int) -> bool:
-            return i in succ[j]
 
     pairs = list(zip(map(locate, lowers), map(locate, uppers)))
     # Pairs up to the first with an unknown cell; that one fails unless an
@@ -169,7 +162,14 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     )
     used: set[int] = set()
     for k, (i, j) in enumerate(pairs[:known]):
-        if not covers(i, j):
+        if graded:
+            # Cell j is cell i plus one member.  No cell has an empty
+            # block, so the member joins a block that cell i already fills.
+            d = packed[i] ^ packed[j]
+            cover = d & (d - 1) == 0 and packed[j] & d != 0
+        else:
+            cover = i in succ[j]
+        if not cover:
             a, b = show(lowers[k]), show(uppers[k])
             raise InvalidMatching(f"({a!r}, {b!r}) is not a covering pair")
         if i in used or j in used:
@@ -191,13 +191,24 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
         raise InvalidMatching("pairs and critical cells do not partition the poset")
 
     if graded:
-        # One lookup per face: pair k's own lower cell, and faces that are
-        # the lower cell of no pair, map to k and are dropped.
-        pair_of = {packed[i]: k for k, (i, _) in enumerate(pairs)}.get
-        faces = _faces([packed[j] for _, j in pairs], n, w)
-        succ = [
-            [x for f in fs if (x := pair_of(f, k)) != k] for k, fs in enumerate(faces)
-        ]
+        # The faces of each upper cell, in ``_faces`` order: one that is
+        # the lower cell of another pair is an arrow to that pair.
+        pair_of = {packed[i]: k for k, (i, _) in enumerate(pairs)}
+        full = (1 << p._width) - 1
+        shifts = _shifts(p.source.n, p._width)
+        succ = []
+        for i, j in pairs:
+            c, own, out = packed[j], packed[i], []
+            for s in shifts:
+                block = c >> s & full
+                if block & (block - 1):
+                    while block:
+                        low = block & -block
+                        f = c ^ low << s
+                        if f in pair_of and f != own:
+                            out.append(pair_of[f])
+                        block ^= low
+            succ.append(out)
     else:
         # Modified Hasse diagram: matched covers point up, the rest down.
         for i, j in pairs:

@@ -37,9 +37,7 @@ def brute_force_cells(g: Digraph, h: Digraph) -> list[tuple[int, ...]]:
     return [
         masks
         for masks in itertools.product(range(1, 1 << h.n), repeat=g.n)
-        if is_multihom(
-            MultiHom([t for t in range(h.n) if m >> t & 1] for m in masks), g, h
-        )
+        if is_multihom(MultiHom._from_masks(masks), g, h)
     ]
 
 

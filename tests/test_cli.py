@@ -314,6 +314,28 @@ class TestRunReconfig:
         assert run(["reconfig", path, "4"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_source_is_reported_before_any_search(
+        self, capsys, graph_file, monkeypatch
+    ):
+        # A 40-vertex path into T_39 has no homomorphism; a search that
+        # ran first would not finish.
+        def fail(*args, **kwargs):
+            raise AssertionError("hom search ran")
+
+        monkeypatch.setattr(dihom.cli, "_multihoms", fail)
+        for g, n in [
+            (directed_path(40), 39),
+            (directed_cycle(3), 3),
+            (Digraph(1, [(0, 0)]), 2),
+        ]:
+            assert run(["reconfig", graph_file(g), str(n)]) == 1
+            err = f"error: no homomorphisms into the transitive tournament T_{n}\n"
+            assert capsys.readouterr() == ("", err)
+        # A bad n is still reported first.
+        assert run(["reconfig", graph_file(directed_cycle(3)), "0"]) == 1
+        err = "error: transitive tournament needs n >= 1, got 0\n"
+        assert capsys.readouterr() == ("", err)
+
     def test_seeded_sample(self, capsys, graph_file):
         path = graph_file(transitive_tournament(2))
         first = run_json(capsys, "--seed", "5", "reconfig", path, "4")
