@@ -30,7 +30,8 @@ from typing import Any, Sequence
 from . import __version__
 from .complexes import in_neighborhood_complex, out_neighborhood_complex
 from .constructions import (
-    automorphism_group_order,
+    _tournament_classes,
+    digraph_from_key,
     enumerate_tournaments,
     mycielskian,
     sphere_tournament,
@@ -339,15 +340,15 @@ def _cmd_table1(ns: argparse.Namespace) -> Any:
 
 
 def _cmd_tournaments(ns: argparse.Namespace) -> Any:
-    ts = enumerate_tournaments(ns.n)
+    classes = _tournament_classes(ns.n)
     return {
-        "count": len(ts),
+        "count": len(classes),
         "tournaments": [
             {
-                "edges": sorted(map(list, t.edges)),
-                "automorphisms": automorphism_group_order(t),
+                "edges": sorted(map(list, digraph_from_key(ns.n, key).edges)),
+                "automorphisms": count,
             }
-            for t in ts
+            for key, count in classes
         ],
     }
 

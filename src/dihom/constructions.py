@@ -178,29 +178,39 @@ def _least_orderings(g: Digraph) -> tuple[int, int]:
     """
     n = g.n
     out = g._out
-    # A state is the mask of unplaced vertices and, for each unplaced w,
-    # the 2k bits w would reveal against the k placed vertices (0 for a
-    # placed vertex).  Only states whose prefix is least are kept, each
-    # with the number of orderings reaching it; equal states have equal
-    # completions, so merging them adds their counts.
-    states = {((1 << n) - 1, (0,) * n): 1}
+    width = 2 * n
+    full = (1 << width) - 1
+    field = [full << width * w for w in range(n)]
+    loop = [out[v] >> v & 1 for v in range(n)]
+    # inout[v] holds, in field w, the two bits that placing v reveals
+    # about w: the arc w -> v, then the arc v -> w.
+    inout = [
+        sum(((out[w] >> v & 1) << 1 | out[v] >> w & 1) << width * w for w in range(n))
+        for v in range(n)
+    ]
+    # A state is ``(rem, prof)``: ``rem`` is the union of the fields of the
+    # unplaced vertices, and field w of ``prof`` holds the 2k bits unplaced
+    # w would reveal against the k placed vertices (0 for a placed vertex).
+    # Placing v updates every profile at once.  Only states whose prefix is
+    # least are kept, each with the number of orderings reaching it; equal
+    # states have equal completions, so merging them adds their counts.
+    states = {((1 << width * n) - 1, 0): 1}
     key = 0
     for k in range(n):
         best = 2 << 2 * k  # above every (2k + 1)-bit segment
-        found: dict[tuple[int, tuple[int, ...]], int] = {}
+        found: dict[tuple[int, int], int] = {}
         for (rem, prof), count in states.items():
-            for v in _bits(rem):
-                seg = (out[v] >> v & 1) << 2 * k | prof[v]
+            todo = rem
+            while todo:
+                v = (todo & -todo).bit_length() // width
+                todo ^= field[v]
+                seg = loop[v] << 2 * k | prof >> width * v & full
                 if seg > best:
                     continue
                 if seg < best:
                     best, found = seg, {}
-                rest = rem & ~(1 << v)
-                state = (rest, tuple(
-                    prof[w] << 2 | (out[w] >> v & 1) << 1 | out[v] >> w & 1
-                    if rest >> w & 1 else 0
-                    for w in range(n)
-                ))
+                rest = rem ^ field[v]
+                state = (rest, (prof << 2 | inout[v]) & rest)
                 found[state] = found.get(state, 0) + count
         key = key << 2 * k + 1 | best
         states = found
@@ -243,10 +253,12 @@ def is_isomorphic(g: Digraph, h: Digraph) -> bool:
     """Digraph isomorphism via canonical forms.
 
     The cost is that of two :func:`canonical_key` calls.  Measured on
-    CPython 3.11 (one core of a shared Xeon host), a key takes about
-    0.4 ms on a 12-vertex digraph with arc density 0.5 or 0.9, but
-    about 50 ms on a sparse (density 0.1) 10-vertex one and 0.2 s on a
-    sparse 12-vertex one, where many orderings tie for long.
+    CPython 3.11 (one core of a shared Xeon host; median and worst of 15
+    random digraphs), a key takes about 0.3 ms (at most 0.4 ms) on a
+    12-vertex digraph with arc density 0.5 or 0.9, but about 3 ms (at
+    most 30 ms) on a sparse (density 0.1) 10-vertex one and 30 ms (at
+    most 0.13 s) on a sparse 12-vertex one, where many orderings tie for
+    long.
     """
     if g.n != h.n or len(g.edges) != len(h.edges):
         return False
@@ -269,27 +281,56 @@ def enumerate_tournaments(n: int) -> list[Digraph]:
     """All tournaments on ``n`` vertices up to isomorphism.
 
     Representatives are canonical forms, listed in increasing canonical-key
-    order.  Each class on ``n - 1`` vertices is extended by a new vertex in
-    all ``2 ** (n - 1)`` ways and the extensions are keyed.  Supported for
-    ``1 <= n <= 7`` (456 classes): ``n = 8`` would need about
-    58,000 keys.
+    order.  Supported for ``1 <= n <= 7`` (456 classes, 643 keys in all);
+    ``n = 8`` would need 7,768 more keys of 8-vertex tournaments.  See
+    :func:`_tournament_classes` for how the classes are found.
+    """
+    return [digraph_from_key(n, key) for key, _ in _tournament_classes(n)]
+
+
+def _tournament_classes(n: int) -> list[tuple[int, int]]:
+    """The canonical key and automorphism group order of every tournament
+    class on ``n`` vertices, in increasing key order.
+
+    Each class on ``n - 1`` vertices is extended by a new vertex in every
+    way, and an extension is keyed only when its new vertex is
+    lexicographically maximal in (score, sum of its out-neighbours'
+    scores), ties kept.  No class is lost: a maximal vertex ``u`` of any
+    class ``T`` leaves a listed class ``T - u``, and one of its extensions
+    rebuilds ``T`` with ``u`` as the new vertex.  The counts come from the
+    key search that found each class.
     """
     if n < 1:
         raise InvalidSize(f"tournament size must be >= 1, got {n}")
     if n > 7:
         raise SizeCapExceeded(f"tournament enumeration supported up to n = 7, got {n}")
-    reps = [Digraph(1)]
+    classes = {0: 1}  # the one-vertex tournament: key 0, one automorphism
     for size in range(2, n + 1):
-        seen: dict[int, None] = {}
-        for t in reps:
-            for mask in range(1 << (size - 1)):
-                arcs = [
-                    (size - 1, j) if mask >> j & 1 else (j, size - 1)
-                    for j in range(size - 1)
-                ]
-                seen.setdefault(canonical_key(Digraph(size, [*t.edges, *arcs])), None)
-        reps = [digraph_from_key(size, key) for key in sorted(seen)]
-    return reps
+        new = size - 1
+        found: dict[int, int] = {}
+        for parent in classes:
+            t = digraph_from_key(new, parent)
+            out = t._out
+            score = [m.bit_count() for m in out]
+            for mask in range(1 << new):
+                # The new vertex beats the j in mask; every other j gains
+                # a point by beating it.
+                top = mask.bit_count()
+                scores = [s + (not mask >> j & 1) for j, s in enumerate(score)]
+                if max(scores) > top:
+                    continue
+                mine = sum(scores[j] for j in _bits(mask))
+                if any(
+                    sum(scores[w] for w in _bits(out[j])) + (not mask >> j & 1) * top > mine
+                    for j, s in enumerate(scores)
+                    if s == top
+                ):
+                    continue
+                arcs = [(new, j) if mask >> j & 1 else (j, new) for j in range(new)]
+                key, count = _least_orderings(Digraph(size, [*t.edges, *arcs]))
+                found[key] = count
+        classes = found
+    return sorted(classes.items())
 
 
 # ---------------------------------------------------------------------------

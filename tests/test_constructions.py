@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -33,6 +35,9 @@ from dihom import (
     sphere_tournament,
     transitive_tournament,
 )
+from dihom.cli import run
+from dihom.constructions import _least_orderings
+from dihom.digraph import _bits
 from conftest import random_digraph, random_tournament, relabel
 
 
@@ -174,6 +179,39 @@ def brute_force_automorphisms(g: Digraph) -> int:
     )
 
 
+def tuple_least_orderings(g: Digraph) -> tuple[int, int]:
+    """The key search with one profile int per vertex in an ``n``-tuple.
+
+    The slower form the packed search replaced, kept as its oracle on
+    digraphs too large for brute force: the same states, merged the same
+    way, so the key and the count must agree.
+    """
+    n = g.n
+    out = g._out
+    states = {((1 << n) - 1, (0,) * n): 1}
+    key = 0
+    for k in range(n):
+        best = 2 << 2 * k
+        found: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (rem, prof), count in states.items():
+            for v in _bits(rem):
+                seg = (out[v] >> v & 1) << 2 * k | prof[v]
+                if seg > best:
+                    continue
+                if seg < best:
+                    best, found = seg, {}
+                rest = rem & ~(1 << v)
+                state = (rest, tuple(
+                    prof[w] << 2 | (out[w] >> v & 1) << 1 | out[v] >> w & 1
+                    if rest >> w & 1 else 0
+                    for w in range(n)
+                ))
+                found[state] = found.get(state, 0) + count
+        key = key << 2 * k + 1 | best
+        states = found
+    return key, sum(states.values())
+
+
 # A sparse 10-vertex digraph with two isolated vertices and a loop: many
 # orderings tie for long stretches of the search.
 SPARSE_10 = Digraph(
@@ -215,6 +253,17 @@ class TestCanonicalKeyOracle:
         assert canonical_key(Digraph(4)) == 0
         assert canonical_key(Digraph(3, [(0, 0), (0, 1)])) == 18
         assert canonical_key(SPARSE_10) == 11264016798973952
+
+    def test_packed_search_matches_tuple_search(self):
+        rng = random.Random(20)
+        graphs = [Digraph(9), directed_cycle(8), SPARSE_10, sphere_tournament(3)]
+        for n in (7, 8, 9, 10):
+            for p in (0.1, 0.3, 0.5, 0.9):
+                for loops in (False, True):
+                    graphs += [random_digraph(rng, n, p, loops) for _ in range(3)]
+            graphs.append(random_tournament(rng, n))
+        for g in graphs:
+            assert _least_orderings(g) == tuple_least_orderings(g)
 
 
 class TestCanonicalForms:
@@ -306,6 +355,52 @@ class TestTournamentEnumeration:
             enumerate_tournaments(0)
         with pytest.raises(SizeCapExceeded):
             enumerate_tournaments(8)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_labelled_tournament_has_its_class(self, n):
+        # The extensions are filtered by an invariant of the new vertex;
+        # every labelled tournament's key must still be listed.
+        pairs = list(itertools.combinations(range(n), 2))
+        keys = {
+            canonical_key(Digraph(n, [(v, u) if mask >> i & 1 else (u, v)
+                                      for i, (u, v) in enumerate(pairs)]))
+            for mask in range(1 << len(pairs))
+        }
+        assert keys == {canonical_key(t) for t in enumerate_tournaments(n)}
+
+    def test_keys_only_extensions_with_a_maximal_new_vertex(self, monkeypatch):
+        # Keying every extension would take 2, 4, 16, 64, 384 and 3584 keys
+        # for sizes 2 to 7.
+        sizes = []
+
+        def counted(g):
+            sizes.append(g.n)
+            return _least_orderings(g)
+
+        monkeypatch.setattr(dihom.constructions, "_least_orderings", counted)
+        assert len(enumerate_tournaments(7)) == 456
+        assert [sizes.count(n) for n in range(2, 8)] == [1, 2, 4, 14, 71, 551]
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (6, "bdb6f8127efeb86c487812fa1f05f9427416dbb1f810797b2dd46b5832842b5a"),
+            (7, "e4b72e165d3801142778efbe81c2c890ca3ed9b601ac1a7183e08ca72237d852"),
+        ],
+    )
+    def test_cli_output_is_frozen(self, n, digest, capsys):
+        assert run(["tournaments", str(n)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cli_automorphisms_match_the_group_order(self, n, capsys):
+        assert run(["tournaments", str(n)]) == 0
+        rows = json.loads(capsys.readouterr().out)["tournaments"]
+        for row in rows:
+            t = Digraph(n, [tuple(e) for e in row["edges"]])
+            assert row["automorphisms"] == automorphism_group_order(t)
+            if n <= 5:
+                assert row["automorphisms"] == brute_force_automorphisms(t)
 
 
 class TestHomotopyWitnessPair:
