@@ -34,7 +34,7 @@ from dihom import (
     transitive_tournament,
     void_complex,
 )
-from dihom.homology import _cellular_chains, _homology
+from dihom.homology import _cell_homology, _cellular_chains, _coreduce, _homology
 
 from conftest import (
     complexes,
@@ -124,6 +124,18 @@ def reference_leray_failures(x: SimplicialComplex) -> list[tuple[frozenset, list
     the homology of its link (built by ``x.link``) is nonzero."""
     order = sorted(x.faces(), key=lambda f: (len(f), x.face_key(f)))
     return [(f, reference_homology(x.link(f)).degrees()) for f in order]
+
+
+def projective_plane() -> SimplicialComplex:
+    """The 6-vertex triangulation of the real projective plane."""
+    return SimplicialComplex(range(1, 7), [
+        (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ])
+
+
+def disjoint_circles() -> SimplicialComplex:
+    return SimplicialComplex(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
 small_matrices = st.integers(1, 3).flatmap(
@@ -226,13 +238,7 @@ class TestReducedHomology:
         assert reduced_homology(void_complex()).is_trivial
 
     def test_projective_plane_torsion(self):
-        # The 6-vertex triangulation of the real projective plane.
-        facets = [
-            (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
-            (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-        ]
-        x = SimplicialComplex(range(1, 7), facets)
-        h = reduced_homology(x)
+        h = reduced_homology(projective_plane())
         assert h.rank(1) == 0 and h.rank(2) == 0
         assert h.torsion(1) == (2,)
 
@@ -248,26 +254,21 @@ class TestReducedHomology:
             assert h == reference_homology(x), t.edges
 
     def test_disjoint_circles(self):
-        faces = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
-        x = SimplicialComplex(range(6), faces)
-        assert reduced_homology(x) == HomologyGroups({0: 1, 1: 2}, {})
+        assert reduced_homology(disjoint_circles()) == HomologyGroups({0: 1, 1: 2}, {})
 
     @settings(max_examples=200, deadline=None)
     @given(complexes())
     @example(void_complex())
     @example(empty_complex())
     @example(full_simplex(0))
-    @example(SimplicialComplex(range(1, 7), [
-        (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
-        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-    ]))
+    @example(projective_plane())
     # A cone over a 4-cycle: contractible, but the link of the apex 4 is a
     # circle, so the witness is {4} in degree 1, not the empty face.
     @example(SimplicialComplex(range(5), [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]))
     # A listed vertex in no face, and facets of unequal size.
     @example(SimplicialComplex([3, 0, 2, 1], [(0,), (1, 2)]))
     # Two circles, so the nerve has two components.
-    @example(SimplicialComplex(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    @example(disjoint_circles())
     # A 2-sphere from the paper, whose nerve is no smaller.
     @example(out_neighborhood_complex(sphere_tournament(2)))
     def test_homology_and_leray_match_reference(self, x):
@@ -397,6 +398,90 @@ class TestCellularHomology:
         monkeypatch.setattr(dihom.homology, "order_complex", fail)
         p = hom_poset(Digraph(2, [(0, 1)]), pentagon_tournament())
         assert homology_of_poset(p) == sphere_homology(1)
+
+
+def survivor_chains(cells: list[int], n: int, w: int):
+    """The chains :func:`_cell_homology` hands to Smith normal form."""
+    return _cellular_chains(_coreduce(cells, n, w), n, w, not cells)
+
+
+def unreduced_homology(cells: list[int], n: int, w: int) -> HomologyGroups:
+    """The cellular route without the coreduction pass: the oracle."""
+    return _homology(*_cellular_chains(cells, n, w))
+
+
+class TestCoreduction:
+    """Coreductions and collapses before the chains keep the homology of
+    the unreduced cellular chains, and the survivors still form a chain
+    complex."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(3), digraphs(4))
+    @edge_cases
+    @example(directed_cycle(3), pentagon_tournament())
+    @example(Digraph(2, [(0, 1)]), Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+    def test_hom_posets_match_unreduced_chains(self, g, h):
+        try:
+            p = hom_poset(g, h, cap=2000)
+        except SizeCapExceeded:
+            return
+        cells, n, w = p._packed, g.n, max(h.n, 1)
+        assert_squares_to_zero(survivor_chains(cells, n, w)[1])
+        assert homology_of_poset(p) == unreduced_homology(cells, n, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(complexes())
+    @example(projective_plane())
+    @example(disjoint_circles())
+    @example(full_simplex(0))
+    @example(empty_complex())
+    @example(out_neighborhood_complex(sphere_tournament(2)))
+    def test_simplicial_complexes_match_unreduced_chains(self, x):
+        if x.is_void:  # not even the augmentation cell: the pass never sees it
+            assert reduced_homology(x).is_trivial
+            return
+        cells, w = x._face_masks(), max(len(x.vertices), 1)
+        oracle = unreduced_homology(cells, 1, w)
+        assert_squares_to_zero(survivor_chains(cells, 1, w)[1])
+        assert _cell_homology(cells, 1, w) == oracle
+        # Through the facet nerve, which may hand the pass a smaller complex.
+        assert reduced_homology(x) == oracle
+
+    def test_projective_plane_keeps_its_torsion(self):
+        x = projective_plane()
+        cells = x._face_masks()
+        ranks, boundaries = survivor_chains(cells, 1, 6)
+        assert 0 < sum(ranks.values()) < len(cells)
+        assert _homology(ranks, boundaries) == HomologyGroups({}, {1: (2,)})
+
+    def test_disjoint_circles_keep_both_components(self):
+        x = disjoint_circles()
+        ranks, boundaries = survivor_chains(x._face_masks(), 1, 6)
+        assert -1 not in ranks and ranks[0] > 0
+        assert _homology(ranks, boundaries) == HomologyGroups({0: 1, 1: 2})
+
+    def test_empty_hom_poset_keeps_the_augmentation_cell(self):
+        p = hom_poset(Digraph(2, [(0, 1)]), Digraph(3))
+        assert len(p) == 0
+        assert survivor_chains(p._packed, 2, 3) == ({-1: 1}, {})
+        assert homology_of_poset(p) == HomologyGroups({-1: 1})
+
+    def test_point_and_empty_and_void_complexes(self):
+        p = hom_poset(Digraph(0), Digraph(2, [(0, 1)]))
+        assert len(p) == 1 and _coreduce(p._packed, 0, 2) == []
+        assert homology_of_poset(p).is_trivial
+        assert _cell_homology([], 1, 1) == HomologyGroups({-1: 1})
+        assert reduced_homology(empty_complex()) == HomologyGroups({-1: 1})
+        assert reduced_homology(void_complex()).is_trivial
+
+    @pytest.mark.parametrize(
+        "g", [Digraph(5, [(0, 3), (1, 3), (2, 3)]), Digraph(4, [(0, 1)])]
+    )
+    def test_large_contractible_posets_leave_no_cell(self, g):
+        # 129,487 and 47,089 cells.  A stack in place of the FIFO queue
+        # stalls with about 14,000 survivors on each.
+        p = hom_poset(g, transitive_tournament(5))
+        assert _coreduce(p._packed, g.n, p._width) == []
 
 
 class TestPosetHomology:
