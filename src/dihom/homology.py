@@ -326,7 +326,7 @@ def _facet_homology(tops: Sequence[int]) -> HomologyGroups:
         while sub:
             faces.add(sub)
             sub = (sub - 1) & t
-    return _cell_homology(sorted(faces), 1, max(tops).bit_length())
+    return _homology(*_coreduced_chains(sorted(faces), 1, max(tops).bit_length()))
 
 
 def _homology(
@@ -345,12 +345,15 @@ def _homology(
     return HomologyGroups(out, torsion)
 
 
-def _cell_homology(cells: Sequence[int], n: int, w: int) -> HomologyGroups:
-    """Reduced homology of the complex on the packed ``cells`` (``n``
-    blocks of ``w`` bits, closed under dropping members), from the chains
-    of the cells that survive :func:`_coreduce`.  The augmentation cell
-    pairs with a 0-cell, so it survives only when there are no cells."""
-    return _homology(*_cellular_chains(_coreduce(cells, n, w), n, w, not cells))
+def _coreduced_chains(
+    cells: Sequence[int], n: int, w: int
+) -> tuple[dict[int, int], dict[int, dict[int, dict[int, int]]]]:
+    """The chains of the cells of the complex on the packed ``cells``
+    (``n`` blocks of ``w`` bits, closed under dropping members) that
+    survive :func:`_coreduce`; they have the complex's reduced homology.
+    The augmentation cell pairs with a 0-cell, so it survives only when
+    there are no cells."""
+    return _cellular_chains(_coreduce(cells, n, w), n, w, not cells)
 
 
 def _coreduce(cells: Sequence[int], n: int, w: int) -> list[int]:
@@ -470,7 +473,7 @@ def homology_of_poset(p: Poset | HomPoset, cap: int = DEFAULT_CAP) -> HomologyGr
     """
     if isinstance(p, Poset):
         return reduced_homology(order_complex(p, cap))
-    return _cell_homology(p._packed, p.source.n, p._width)
+    return _homology(*_coreduced_chains(p._packed, p.source.n, p._width))
 
 
 class LerayCertificate:
