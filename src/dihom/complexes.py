@@ -17,9 +17,13 @@ Faces are ``frozenset`` objects over the complex's vertex labels.  Labels
 can be any hashable values; ordering questions (orientation of simplices,
 deterministic enumeration) always go through the position of a label in
 the complex's ``vertices`` tuple, never through comparing labels.
-Inside a complex each nonempty face is a bitmask over those positions:
-the one-block case of the packed cells of a hom complex, so both kinds
-of complex share one chain-complex builder (``homology._cellular_chains``).
+Inside a complex each face is a bitmask over those positions: the
+one-block case of the packed cells of a hom complex, so both kinds of
+complex share one chain-complex builder (``homology._cellular_chains``).
+A face becomes a mask in one place, ``SimplicialComplex``: its
+constructor keeps the maximal generator masks (:func:`_maximal`), its
+faces are their submasks (:func:`_downset`), and homology and the Morse
+collapses read those masks, never the frozenset facets.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import itertools
 from typing import Hashable, Iterable
 
 from . import _graph
-from .digraph import DEFAULT_CAP, Digraph, _bits, _faces, _mask_of
+from .digraph import DEFAULT_CAP, Digraph, _Frozen, _bits, _faces
 from .errors import (
     EmptyComplex,
     FaceNotInComplex,
@@ -39,12 +43,61 @@ from .errors import (
 Face = frozenset
 
 
+def _positions(mask: int) -> tuple[int, ...]:
+    """The face key of a face mask: its vertex positions, ascending."""
+    return tuple(_bits(mask))
+
+
 def _face_order(mask: int) -> tuple[int, tuple[int, ...]]:
     """Sort key of a face mask: dimension, then face key."""
-    return mask.bit_count(), tuple(_bits(mask))
+    return mask.bit_count(), _positions(mask)
 
 
-class SimplicialComplex:
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The distinct ``masks`` that lie in no other one, ascending.
+
+    A mask's supersets are larger, so the masks go from the largest
+    down, and a mask is kept when no kept mask holds all its bits: the
+    AND over its bits of their holders' bitsets is zero.  A mask that
+    lies in a dropped one lies in a kept one too, so only kept masks
+    need holders."""
+    out: list[int] = []
+    holders: dict[int, int] = {}  # bit -> the kept masks holding it
+    for m in sorted(set(masks), reverse=True):
+        common = (1 << len(out)) - 1
+        rest = m
+        while rest and common:
+            low = rest & -rest
+            common &= holders.get(low, 0)
+            rest ^= low
+        if not common:
+            rest = m
+            while rest:
+                low = rest & -rest
+                holders[low] = holders.get(low, 0) | 1 << len(out)
+                rest ^= low
+            out.append(m)
+    out.reverse()
+    return out
+
+
+def _downset(tops: Iterable[int], cap: int | None = None) -> list[int]:
+    """The nonempty submasks of ``tops``, ascending.
+
+    With ``cap`` set, raises :class:`SizeCapExceeded` once the running
+    count of distinct submasks passes ``cap``, checked after each top."""
+    out: set[int] = set()
+    for t in tops:
+        sub = t
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & t
+        if cap is not None and len(out) > cap:
+            raise SizeCapExceeded(f"face poset would have over {cap} elements")
+    return sorted(out)
+
+
+class SimplicialComplex(_Frozen):
     """An abstract simplicial complex given by generating sets.
 
     Dominated generators are dropped so ``facets`` holds exactly the
@@ -52,61 +105,62 @@ class SimplicialComplex:
     single empty set for the empty complex.
 
     A simplicial complex is the one-block case of a cell complex: each
-    nonempty face is stored once as a bitmask over vertex positions (bit
-    ``i`` for ``vertices[i]``), the same packed encoding a hom complex
-    uses with one block per source vertex.  These masks, sorted ascending
-    ("packed order"), are enumerated once and cached; face counts are
-    popcounts over them.
+    face is a bitmask over vertex positions (bit ``i`` for
+    ``vertices[i]``), the same packed encoding a hom complex uses with
+    one block per source vertex.  The constructor converts each
+    generator to its mask once and keeps the maximal masks, ascending,
+    as ``_tops`` (``[0]`` for the empty complex, ``[]`` for the void
+    one); every query, homology and the Morse collapses read them, and
+    ``facets`` holds the generators they came from.  The nonempty faces,
+    sorted ascending ("packed order"), are enumerated from ``_tops`` on
+    first use and cached; face counts are popcounts over them.
     """
 
-    __slots__ = ("vertices", "facets", "_pos", "_masks")
+    __slots__ = ("vertices", "facets", "_pos", "_tops", "_masks")
 
     def __init__(self, vertices: Iterable[Hashable], faces: Iterable[Iterable[Hashable]]):
         vs = tuple(vertices)
         pos = {v: i for i, v in enumerate(vs)}
         if len(pos) != len(vs):
             raise InvalidVertex("duplicate vertex label")
-        candidates = {frozenset(f) for f in faces}
-        for f in candidates:
-            for v in f:
-                if v not in pos:
-                    raise InvalidVertex(f"face {set(f)} mentions unknown vertex {v!r}")
-        # A generator is a facet when no other one holds all its vertices:
-        # the AND over its vertices of their holders' bitsets is its own bit.
-        gens = list(candidates)
-        holders: dict[Hashable, int] = {}
-        for k, f in enumerate(gens):
-            for v in f:
-                holders[v] = holders.get(v, 0) | 1 << k
-        everyone = (1 << len(gens)) - 1
-        facets = []
-        for k, f in enumerate(gens):
-            common = everyone
-            for v in f:
-                common &= holders[v]
-            if common == 1 << k:
-                facets.append(f)
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "facets", frozenset(facets))
         object.__setattr__(self, "_pos", pos)
+        gens: dict[int, frozenset] = {}
+        for f in map(frozenset, faces):
+            m = self._mask(f)
+            if m is None:
+                v = next(v for v in f if v not in pos)
+                raise InvalidVertex(f"face {set(f)} mentions unknown vertex {v!r}")
+            gens[m] = f
+        tops = _maximal(gens)
+        object.__setattr__(self, "facets", frozenset(map(gens.get, tops)))
+        object.__setattr__(self, "_tops", tops)
         object.__setattr__(self, "_masks", None)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("SimplicialComplex is immutable")
 
     # -- queries -----------------------------------------------------------
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self._tops
 
     @property
     def is_empty(self) -> bool:
-        return self.facets == frozenset({frozenset()})
+        return self._tops == [0]
 
     def face_key(self, face: Face) -> tuple[int, ...]:
         """Deterministic sort key: positions of the face's vertices."""
         return tuple(sorted(self._pos[v] for v in face))
+
+    def _mask(self, face: Iterable[Hashable]) -> int | None:
+        """The position bitmask of ``face``, or ``None`` when one of its
+        vertices is not a vertex of the complex."""
+        m = 0
+        for v in face:
+            i = self._pos.get(v)
+            if i is None:
+                return None
+            m |= 1 << i
+        return m
 
     def _face_masks(self, cap: int | None = None) -> list[int]:
         """The nonempty faces as position bitmasks, in ascending order.
@@ -115,16 +169,7 @@ class SimplicialComplex:
         count of distinct faces passes ``cap``, checked after each facet;
         the masks are cached only when every face has been found."""
         if self._masks is None:
-            out: set[int] = set()
-            for f in self.facets:
-                top = _mask_of(self._pos[v] for v in f)
-                sub = top
-                while sub:
-                    out.add(sub)
-                    sub = (sub - 1) & top
-                if cap is not None and len(out) > cap:
-                    raise SizeCapExceeded(f"face poset would have over {cap} elements")
-            object.__setattr__(self, "_masks", sorted(out))
+            object.__setattr__(self, "_masks", _downset(self._tops, cap))
         elif cap is not None and len(self._masks) > cap:
             raise SizeCapExceeded(
                 f"face poset would have {len(self._masks)} elements (cap {cap})"
@@ -140,8 +185,8 @@ class SimplicialComplex:
         return out if self.is_void else out | {frozenset()}
 
     def has_face(self, face: Iterable[Hashable]) -> bool:
-        f = frozenset(face)
-        return any(f <= g for g in self.facets)
+        m = self._mask(face)
+        return m is not None and any(m & t == m for t in self._tops)
 
     def faces_by_dimension(self) -> dict[int, list[Face]]:
         """Faces grouped by dimension, each group sorted by face key.
@@ -162,9 +207,7 @@ class SimplicialComplex:
 
     def dimension(self) -> int:
         """Top dimension; ``-1`` for the empty complex, ``-2`` for void."""
-        if self.is_void:
-            return -2
-        return max(len(f) for f in self.facets) - 1
+        return max(map(int.bit_count, self._tops), default=-1) - 1
 
     def euler_characteristic(self) -> int:
         """Unreduced Euler characteristic (a point gives 1)."""
@@ -209,7 +252,7 @@ class SimplicialComplex:
         return hash((self.vertices, self.facets))
 
     def __repr__(self) -> str:
-        shown = sorted(map(self.face_key, self.facets))
+        shown = sorted(map(_positions, self._tops))
         return f"SimplicialComplex({len(self.vertices)} vertices, facets={shown})"
 
 
@@ -231,7 +274,7 @@ def full_simplex(n: int) -> SimplicialComplex:
     return SimplicialComplex(range(n + 1), [range(n + 1)])
 
 
-class Poset:
+class Poset(_Frozen):
     """A finite poset on an explicit tuple of element labels.
 
     The strict order is stored as per-element bitmasks over element
@@ -274,9 +317,6 @@ class Poset:
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_up", tuple(up))
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("Poset is immutable")
 
     @classmethod
     def from_covers(
@@ -412,12 +452,9 @@ def universality_graph(x: SimplicialComplex) -> Digraph:
     if x.is_void:
         raise EmptyComplex("cannot realize the void complex")
     k = len(x.vertices)
-    facets = sorted(x.facets, key=x.face_key)
-    edges = []
-    for r, f in enumerate(facets):
-        for v in f:
-            edges.append((k + r, x.vertices.index(v)))
-    return Digraph(k + len(facets), edges)
+    tops = sorted(x._tops, key=_positions)
+    edges = [(k + r, i) for r, t in enumerate(tops) for i in _bits(t)]
+    return Digraph(k + len(tops), edges)
 
 
 def face_poset(x: SimplicialComplex, cap: int = DEFAULT_CAP) -> Poset:
@@ -430,7 +467,7 @@ def face_poset(x: SimplicialComplex, cap: int = DEFAULT_CAP) -> Poset:
     the facet whose faces take the running count past ``cap``, so at most
     ``2 * cap`` faces are ever formed.
     """
-    largest = 2 ** max(map(len, x.facets), default=0) - 1
+    largest = 2 ** max(map(int.bit_count, x._tops), default=0) - 1
     if largest > cap:
         raise SizeCapExceeded(f"a facet has {largest} nonempty faces (cap {cap})")
     masks = sorted(x._face_masks(cap), key=_face_order)
@@ -469,22 +506,20 @@ def order_complex(p: Poset, cap: int = DEFAULT_CAP) -> SimplicialComplex:
     succ: list[list[int]] = [[] for _ in range(n)]
     for i, j in p.covering_index_pairs():
         succ[i].append(j)
+    # Depth-first with an explicit stack of (element, depth), so a chain
+    # as long as the poset is tall needs no recursion.
     elems = p.elements
     facets: list[frozenset] = []
-    stack: list[int] = []
-
-    def walk(i: int) -> None:
-        stack.append(i)
-        if not succ[i]:
-            facets.append(frozenset(elems[j] for j in stack))
+    chain: list[int] = []
+    stack = [(i, 0) for i in range(n) if not down[i]]
+    while stack:
+        i, depth = stack.pop()
+        del chain[depth:]
+        chain.append(i)
+        if succ[i]:
+            stack.extend((j, depth + 1) for j in succ[i])
         else:
-            for j in succ[i]:
-                walk(j)
-        stack.pop()
-
-    for i in range(n):
-        if not down[i]:
-            walk(i)
+            facets.append(frozenset(elems[j] for j in chain))
     return SimplicialComplex(elems, facets)
 
 

@@ -45,6 +45,16 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+class _Frozen:
+    """Base of the package's immutable classes: their constructors set
+    each attribute once through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _check_vertex_count(n: int) -> None:
     """Raise :class:`SizeCapExceeded` for more than ``MAX_VERTICES``
     vertices.  Constructors call it before they build an edge list."""
@@ -52,7 +62,7 @@ def _check_vertex_count(n: int) -> None:
         raise SizeCapExceeded(f"at most {MAX_VERTICES} vertices supported, got {n}")
 
 
-class Digraph:
+class Digraph(_Frozen):
     """An immutable directed graph on vertices ``0 .. n-1``.
 
     Parameters
@@ -87,9 +97,6 @@ class Digraph:
             "edges",
             frozenset((u, v) for u in range(n) for v in _bits(out[u])),
         )
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("Digraph is immutable")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -166,7 +173,7 @@ class Digraph:
         return f"Digraph({self.n}, {sorted(self.edges)})"
 
 
-class VertexMap:
+class VertexMap(_Frozen):
     """A vertex map ``f : {0..k-1} -> ints``, stored as an image tuple.
 
     This is plain data: whether it is a homomorphism between specific
@@ -178,9 +185,6 @@ class VertexMap:
 
     def __init__(self, image: Iterable[int]):
         object.__setattr__(self, "image", tuple(image))
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("VertexMap is immutable")
 
     @property
     def domain_size(self) -> int:

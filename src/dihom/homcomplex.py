@@ -30,6 +30,7 @@ from .digraph import (
     DEFAULT_CAP,
     Digraph,
     VertexMap,
+    _Frozen,
     _bits,
     _decode_maps,
     _faces,
@@ -41,7 +42,7 @@ from .digraph import (
 from .errors import EmptyComplex, InvalidRange, ShapeMismatch, SizeCapExceeded
 
 
-class MultiHom:
+class MultiHom(_Frozen):
     """A tuple of nonempty vertex sets, one per source vertex.
 
     Pure data, stored as bitmasks; whether it actually is a
@@ -69,9 +70,6 @@ class MultiHom:
         obj = object.__new__(cls)
         object.__setattr__(obj, "_masks", masks)
         return obj
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("MultiHom is immutable")
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -149,7 +147,7 @@ def is_multihom(a: MultiHom, g: Digraph, h: Digraph) -> bool:
     return True
 
 
-class HomPoset:
+class HomPoset(_Frozen):
     """The poset of all multihomomorphisms ``g -> h`` under pointwise
     inclusion.
 
@@ -192,9 +190,6 @@ class HomPoset:
         object.__setattr__(self, "_width", max(target.n, 1))
         object.__setattr__(self, "_packed", packed)
         object.__setattr__(self, "_cells", None)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("HomPoset is immutable")
 
     def _views(self, packed: Iterable[int]) -> Iterator[MultiHom]:
         return map(MultiHom._from_masks, _unpack(packed, self.source.n, self._width))
@@ -311,7 +306,7 @@ def hom_poset(g: Digraph, h: Digraph, cap: int = DEFAULT_CAP) -> HomPoset:
     return p
 
 
-class HomSkeleton:
+class HomSkeleton(_Frozen):
     """The homomorphisms ``g -> h`` with the adjacency of the complex's
     one-skeleton.
 
@@ -333,9 +328,6 @@ class HomSkeleton:
         object.__setattr__(self, "maps", ms)
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(ms)})
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("HomSkeleton is immutable")
 
     def __len__(self) -> int:
         return len(self.maps)
@@ -406,7 +398,7 @@ def _skeleton(
 # ---------------------------------------------------------------------------
 
 
-class NuReduction:
+class NuReduction(_Frozen):
     """The closure operator ``X -> outN(inN(X))`` on the nonempty faces of
     the out-neighborhood complex, together with its image.
 
@@ -428,9 +420,6 @@ class NuReduction:
         object.__setattr__(self, "mapping", mapping)
         object.__setattr__(self, "image_poset", image_poset)
         object.__setattr__(self, "image_complex", image_complex)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("NuReduction is immutable")
 
     @property
     def order_complex_dimension(self) -> int:
@@ -494,7 +483,7 @@ def closure_nu(g: Digraph, cap: int = DEFAULT_CAP) -> NuReduction:
 # ---------------------------------------------------------------------------
 
 
-class StaircaseCell:
+class StaircaseCell(_Frozen):
     """A maximal cell of the hom poset of two transitive tournaments,
     packaged with the interval-partition certificate."""
 
@@ -504,9 +493,6 @@ class StaircaseCell:
         object.__setattr__(self, "cell", cell)
         object.__setattr__(self, "blocks", cell.key())
         object.__setattr__(self, "target_size", target_size)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("StaircaseCell is immutable")
 
     @property
     def is_staircase(self) -> bool:

@@ -25,16 +25,20 @@ point has trivial homology everywhere, and the empty complex (whose only
 face is the empty set) has one unit of homology in degree ``-1``.  The
 void complex has no homology at all.
 
-A simplicial complex is first reduced through its facets.  The facets
-cover it and every intersection of facets is a simplex, so the complex
-has the homotopy type of its facet nerve: one vertex per facet, one
-simplex per set of facets with a common vertex (Borsuk 1948; Björner
-2003, "Nerves, fibers and homotopy groups").  The nerve is taken again
-while it has fewer vertices than the complex it replaces, and only the
-last nerve's faces go to the coreduction pass.  The Leray check reads
-each link off the facets too, and visits only the faces that are
-intersections of facets: every facet holding any other face ``f`` also
-holds some vertex outside ``f``, so the link of ``f`` is a cone.
+A simplicial complex is first reduced through its facets, read as the
+position masks its constructor keeps (``SimplicialComplex._tops``).
+The facets cover it and every intersection of facets is a simplex, so
+the complex has the homotopy type of its facet nerve: one vertex per
+facet, one simplex per set of facets with a common vertex (Borsuk 1948;
+Björner 2003, "Nerves, fibers and homotopy groups").  The nerve's
+facets are the maximal sets of facets that share a vertex, kept by the
+same filter the constructor uses (``complexes._maximal``).  The nerve
+is taken again while it has fewer vertices than the complex it
+replaces, and only the last nerve's faces (``complexes._downset``) go
+to the coreduction pass.  The Leray check reads each link off the facet
+masks too, and visits only the faces that are intersections of facets:
+every facet holding any other face ``f`` also holds some vertex outside
+``f``, so the link of ``f`` is a cone.
 
 The Smith normal form routine is a sparse, pure-integer elimination;
 Python's arbitrary-precision arithmetic means entry growth is a speed
@@ -47,8 +51,15 @@ import math
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Poset, SimplicialComplex, _face_order, order_complex
-from .digraph import DEFAULT_CAP, _bits, _faces, _mask_of
+from .complexes import (
+    Poset,
+    SimplicialComplex,
+    _downset,
+    _face_order,
+    _maximal,
+    order_complex,
+)
+from .digraph import DEFAULT_CAP, _Frozen, _bits, _faces
 from .homcomplex import HomPoset
 
 
@@ -155,7 +166,7 @@ def _snf_sparse(rows: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], int]:
     return tuple(diagonal), len(diagonal)
 
 
-class HomologyGroups:
+class HomologyGroups(_Frozen):
     """Finitely generated graded abelian groups, i.e. a rank and a torsion
     tuple per degree.  Zero groups are never stored, so two results compare
     equal iff they describe the same homology."""
@@ -175,9 +186,6 @@ class HomologyGroups:
                 ts[d] = t
         object.__setattr__(self, "_ranks", rs)
         object.__setattr__(self, "_torsion", ts)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("HomologyGroups is immutable")
 
     def rank(self, degree: int) -> int:
         return self._ranks.get(degree, 0)
@@ -233,7 +241,7 @@ def sphere_homology(n: int) -> HomologyGroups:
     return HomologyGroups({n: 1})
 
 
-class ChainComplex:
+class ChainComplex(_Frozen):
     """The augmented simplicial chain complex of a finite complex.
 
     A view over :func:`_cellular_chains` with the complex as one-block
@@ -253,9 +261,6 @@ class ChainComplex:
         object.__setattr__(self, "_x", x)
         object.__setattr__(self, "_ranks", ranks)
         object.__setattr__(self, "_boundaries", boundaries)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("ChainComplex is immutable")
 
     @property
     def faces(self) -> dict[int, list[frozenset]]:
@@ -289,12 +294,7 @@ def reduced_homology(x: SimplicialComplex) -> HomologyGroups:
     """Reduced integral homology of a simplicial complex, computed on its
     iterated facet nerve (see the module docstring); no face of ``x``
     itself is enumerated unless the nerve is no smaller."""
-    return _facet_homology(_facet_masks(x))
-
-
-def _facet_masks(x: SimplicialComplex) -> list[int]:
-    """The facets of ``x`` as position bitmasks, in ascending order."""
-    return sorted(_mask_of(x._pos[v] for v in f) for f in x.facets)
+    return _facet_homology(x._tops)
 
 
 def _facet_homology(tops: Sequence[int]) -> HomologyGroups:
@@ -311,22 +311,12 @@ def _facet_homology(tops: Sequence[int]) -> HomologyGroups:
                 holders[v] = holders.get(v, 0) | 1 << i
         if len(tops) >= len(holders):
             break
-        nerve = sorted(set(holders.values()), key=int.bit_count, reverse=True)
-        tops = []
-        for h in nerve:
-            if all(h & t != h for t in tops):
-                tops.append(h)
+        tops = _maximal(holders.values())
     if not tops:
         return HomologyGroups()
     if len(tops) == 1:
         return HomologyGroups({} if tops[0] else {-1: 1})
-    faces: set[int] = set()
-    for t in tops:
-        sub = t
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & t
-    return _homology(*_coreduced_chains(sorted(faces), 1, max(tops).bit_length()))
+    return _homology(*_coreduced_chains(_downset(tops), 1, max(tops).bit_length()))
 
 
 def _homology(
@@ -476,7 +466,7 @@ def homology_of_poset(p: Poset | HomPoset, cap: int = DEFAULT_CAP) -> HomologyGr
     return _homology(*_coreduced_chains(p._packed, p.source.n, p._width))
 
 
-class LerayCertificate:
+class LerayCertificate(_Frozen):
     """Outcome of a Leray check; truthy iff the property holds.
 
     On failure, ``witness_face`` and ``witness_degree`` identify a face
@@ -489,9 +479,6 @@ class LerayCertificate:
         object.__setattr__(self, "holds", holds)
         object.__setattr__(self, "witness_face", face)
         object.__setattr__(self, "witness_degree", degree)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("LerayCertificate is immutable")
 
     def __bool__(self) -> bool:
         return self.holds
@@ -515,7 +502,7 @@ def is_n_leray(x: SimplicialComplex, n: int) -> LerayCertificate:
     link of face ``f`` has the facets ``{t ^ f : t ⊇ f}`` over the facets
     ``t``, and its homology comes from :func:`_facet_homology`.
     """
-    tops = _facet_masks(x)
+    tops = x._tops
     meets = set(tops)
     fresh = meets
     while fresh:

@@ -30,6 +30,7 @@ from . import _graph
 from .digraph import (
     Digraph,
     VertexMap,
+    _Frozen,
     _arrows,
     _bits,
     _decode_maps,
@@ -37,7 +38,7 @@ from .digraph import (
     induced_subgraph,
     is_homomorphism,
 )
-from .errors import InvalidFold, NotAHomomorphism, SizeCapExceeded
+from .errors import InvalidFold, InvalidVariant, NotAHomomorphism, SizeCapExceeded
 
 
 def all_folds(g: Digraph) -> list[tuple[int, int]]:
@@ -172,7 +173,7 @@ def line_homotopic(f: VertexMap, g: VertexMap, source: Digraph, target: Digraph)
     return _HomRelations(source, target).line_homotopic(f, g)
 
 
-class HomotopyClasses:
+class HomotopyClasses(_Frozen):
     """Partition of the homomorphisms under one of the three relations.
 
     For the directed relation the classes come from the equivalence
@@ -187,9 +188,6 @@ class HomotopyClasses:
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "preorder", preorder)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("HomotopyClasses is immutable")
 
     def class_of(self, f: VertexMap) -> frozenset:
         for c in self.classes:
@@ -209,9 +207,10 @@ def homotopy_classes(
     Directed homotopy is only a preorder; its classes are those of the
     equivalence closure (which coincide with the line-homotopy classes),
     and the returned object also carries the raw reachability pairs.
+    Any other ``relation`` raises :class:`InvalidVariant`.
     """
     if relation not in ("bi", "di", "line"):
-        raise ValueError(f"unknown relation {relation!r}")
+        raise InvalidVariant(f"unknown relation {relation!r}")
     rel = _HomRelations(source, target)
     adj = rel.bi_adj if relation == "bi" else rel.line_adj
     # Both relations are symmetric, so each class is what its least

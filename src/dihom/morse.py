@@ -18,9 +18,9 @@ import random
 from typing import Hashable, Iterable
 
 from . import _graph
-from .complexes import Poset, SimplicialComplex
+from .complexes import Poset, SimplicialComplex, _positions
 from .constructions import transitive_tournament
-from .digraph import DEFAULT_CAP, Digraph, _bits, _mask_of, _shifts
+from .digraph import DEFAULT_CAP, Digraph, _Frozen, _bits, _shifts
 from .errors import (
     EmptyHom,
     InvalidMatching,
@@ -31,7 +31,7 @@ from .errors import (
 from .homcomplex import HomPoset, hom_poset
 
 
-class Matching:
+class Matching(_Frozen):
     """A partial matching: ``pairs`` of (lower, upper) cells plus the
     leftover ``critical`` cells.  Plain data; validation against a poset
     happens in :func:`is_acyclic_matching`.
@@ -66,9 +66,6 @@ class Matching:
         object.__setattr__(obj, "_poset", poset)
         object.__setattr__(obj, "_packed", (lowers, uppers, critical))
         return obj
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("Matching is immutable")
 
     @property
     def pairs(self) -> tuple[tuple[Hashable, Hashable], ...]:
@@ -297,9 +294,12 @@ def tournament_matching(
 # A complex being collapsed is one dict ``faces: mask -> (k, total)`` over
 # the position bitmasks of ``SimplicialComplex`` (bit ``i`` for
 # ``vertices[i]``), the empty face included: ``k`` live facets lie over
-# the face and their masks sum to ``total``.  The facets are the masks
-# equal to their total, since a facet lies in no other facet.  A face is free when it is nonempty and lies in
-# exactly one facet other than itself, and that facet is then its total.
+# the face and their masks sum to ``total``.  It starts from the facet
+# masks the complex keeps (``_tops``); a logged face becomes a mask
+# through ``SimplicialComplex._mask``.  The facets are the masks equal to
+# their total, since a facet lies in no other facet.  A face is free when
+# it is nonempty and lies in exactly one facet other than itself, and
+# that facet is then its total.
 _Faces = dict[int, tuple[int, int]]
 
 
@@ -319,17 +319,13 @@ def _shift(faces: _Faces, f: int, step: int) -> None:
 
 def _face_dict(x: SimplicialComplex) -> _Faces:
     faces: _Faces = {}
-    for f in x.facets:
-        _shift(faces, _mask_of(x._pos[v] for v in f), 1)
+    for t in x._tops:
+        _shift(faces, t, 1)
     return faces
 
 
 def _free(faces: _Faces) -> list[int]:
     return [m for m, (k, total) in faces.items() if k == 1 and m and m != total]
-
-
-def _positions(mask: int) -> tuple[int, ...]:
-    return tuple(_bits(mask))
 
 
 def _collapse(faces: _Faces, tau: int, sigma: int) -> None:
@@ -348,7 +344,7 @@ def _complex(x: SimplicialComplex, faces: _Faces) -> SimplicialComplex:
     )
 
 
-class CollapseResult:
+class CollapseResult(_Frozen):
     """Outcome of :func:`collapse_free_pairs`: the fixpoint complex and the
     ordered, replayable log of removed free pairs."""
 
@@ -357,9 +353,6 @@ class CollapseResult:
     def __init__(self, complex: SimplicialComplex, log: tuple):
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "log", log)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("CollapseResult is immutable")
 
     def __repr__(self) -> str:
         return f"CollapseResult({len(self.log)} collapses)"
@@ -406,9 +399,8 @@ def replay_collapses(
 ) -> SimplicialComplex:
     """Re-apply a collapse log, verifying every step is a free pair."""
     faces = _face_dict(x)
-    pos = x._pos
     for step, (tau, sigma) in enumerate(log):
-        m = _mask_of(pos[v] for v in tau) if all(v in pos for v in tau) else None
+        m = x._mask(tau)
         k, total = faces.get(m, (0, 0))
         if k != 1 or not m or m == total:
             raise ValueError(f"step {step}: {set(tau)} is not a free face")
@@ -428,8 +420,7 @@ def random_discrete_morse(x: SimplicialComplex, seed: int) -> tuple[int, ...]:
     bound the Betti numbers from above.
     """
     rng = random.Random(seed)
-    top = max((len(f) - 1 for f in x.facets), default=-1)
-    counts = [0] * (top + 1)
+    counts = [0] * (x.dimension() + 1)
     faces = _face_dict(x)
     # Left with at most the empty face, the complex is void or empty.
     while len(faces) > 1:

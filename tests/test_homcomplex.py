@@ -7,32 +7,40 @@ import pytest
 from hypothesis import example, given, settings
 
 from dihom import (
+    ChainComplex,
     Digraph,
     Disconnected,
     EmptyComplex,
     EmptyHom,
     HomPoset,
+    HomologyGroups,
     InvalidRange,
     MultiHom,
+    Poset,
     ShapeMismatch,
     SizeCapExceeded,
     StaircaseCell,
     VertexMap,
     closure_nu,
+    collapse_free_pairs,
     directed_cycle,
     directed_path,
     complete_bipartite_digraph,
     diameter,
     enumerate_homomorphisms,
+    full_simplex,
     hom_one_skeleton,
     hom_poset,
+    homotopy_classes,
     is_connected_hom,
     is_multihom,
+    is_n_leray,
     multihom_of_map,
     out_neighborhood_complex,
     reduced_homology,
     sphere_tournament,
     staircase_cells,
+    tournament_matching,
     transitive_tournament,
 )
 from dihom import _graph
@@ -104,10 +112,33 @@ class TestMultiHom:
         with pytest.raises(ShapeMismatch):
             MultiHom([{0}, {-1}])
 
-    def test_immutable(self):
-        a = MultiHom([{0}])
-        with pytest.raises(AttributeError):
-            a.masks = ()
+
+_ARC = Digraph(2, [(0, 1)])
+_IMMUTABLE = {
+    "Digraph": lambda: _ARC,
+    "VertexMap": lambda: VertexMap([0, 1]),
+    "MultiHom": lambda: MultiHom([{0}]),
+    "HomPoset": lambda: hom_poset(_ARC, transitive_tournament(3)),
+    "HomSkeleton": lambda: hom_one_skeleton(_ARC, transitive_tournament(3)),
+    "NuReduction": lambda: closure_nu(_ARC),
+    "StaircaseCell": lambda: staircase_cells(2, 3)[0],
+    "HomologyGroups": lambda: HomologyGroups({0: 1}),
+    "ChainComplex": lambda: ChainComplex(full_simplex(1)),
+    "LerayCertificate": lambda: is_n_leray(full_simplex(1), 0),
+    "HomotopyClasses": lambda: homotopy_classes(_ARC, transitive_tournament(3)),
+    "Matching": lambda: tournament_matching(_ARC, 3),
+    "CollapseResult": lambda: collapse_free_pairs(full_simplex(1)),
+    "SimplicialComplex": lambda: full_simplex(1),
+    "Poset": lambda: Poset(range(2), [(0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IMMUTABLE))
+def test_immutable(name):
+    obj = _IMMUTABLE[name]()
+    assert type(obj).__name__ == name
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        obj.n = 0
 
 
 class TestIsMultihom:

@@ -14,6 +14,7 @@ from dihom import (
     Digraph,
     HomologyGroups,
     HomPoset,
+    Poset,
     SimplicialComplex,
     SizeCapExceeded,
     directed_cycle,
@@ -26,6 +27,7 @@ from dihom import (
     is_n_leray,
     order_complex,
     out_neighborhood_complex,
+    random_discrete_morse,
     reduced_homology,
     simplex_boundary,
     smith_normal_form,
@@ -491,6 +493,14 @@ class TestPosetHomology:
         chain = Poset.from_covers(range(3), [(0, 1), (1, 2)])
         assert homology_of_poset(chain).is_trivial
 
+    def test_chain_longer_than_the_recursion_limit(self):
+        # One maximal chain of 1100 elements: one facet, a simplex.
+        chain = Poset.from_covers(range(1100), [(i, i + 1) for i in range(1099)])
+        x = order_complex(chain, cap=1 << 1200)
+        assert x.facets == {frozenset(range(1100))}
+        # homology_of_poset(chain) is the homology of this complex.
+        assert reduced_homology(x).is_trivial
+
 
 class TestLeray:
     def test_full_simplex_is_0_leray(self):
@@ -542,6 +552,24 @@ class TestLeray:
         # The facet's link is the empty complex, with homology in degree -1.
         cert = is_n_leray(x, -1)
         assert (cert.witness_face, cert.witness_degree) == (frozenset(range(1, 40)), -1)
+
+    def test_reads_only_the_facet_masks(self, monkeypatch):
+        x = projective_plane()
+
+        def answers():
+            cert = is_n_leray(x, 1)
+            return (
+                reduced_homology(x),
+                (cert.holds, cert.witness_face, cert.witness_degree),
+                random_discrete_morse(x, seed=3),
+            )
+
+        def fail(self):
+            raise AssertionError("facets read")
+
+        before = answers()
+        monkeypatch.setattr(SimplicialComplex, "facets", property(fail))
+        assert answers() == before
 
     def test_circle_complex(self):
         from dihom import out_neighborhood_complex, sphere_tournament

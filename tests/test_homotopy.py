@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from dihom import (
     Digraph,
     InvalidFold,
+    InvalidVariant,
     NotAHomomorphism,
     VertexMap,
     all_folds,
@@ -191,7 +192,7 @@ class TestHomotopyClasses:
             assert (m, m) in hc.preorder
 
     def test_unknown_relation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidVariant):
             homotopy_classes(self.g, self.h, "up-to-phase")
 
     def test_class_of_unknown_map(self):
