@@ -372,7 +372,10 @@ class Poset(_Frozen):
 
     def covering_index_pairs(self) -> list[tuple[int, int]]:
         """Covers ``(i, j)``: ``i < j`` with nothing strictly between."""
-        down = self.down_masks()
+        return self._covers(self.down_masks())
+
+    def _covers(self, down: list[int]) -> list[tuple[int, int]]:
+        """The covers, given ``down``, the :meth:`down_masks`."""
         out = []
         for i, m in enumerate(self._up):
             for j in _bits(m):
@@ -504,7 +507,7 @@ def order_complex(p: Poset, cap: int = DEFAULT_CAP) -> SimplicialComplex:
             raise SizeCapExceeded(f"order complex would have over {cap} chains")
     # Maximal chains: saturated cover-paths from minimal to maximal elements.
     succ: list[list[int]] = [[] for _ in range(n)]
-    for i, j in p.covering_index_pairs():
+    for i, j in p._covers(down):
         succ[i].append(j)
     # Depth-first with an explicit stack of (element, depth), so a chain
     # as long as the poset is tall needs no recursion.

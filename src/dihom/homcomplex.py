@@ -210,7 +210,11 @@ class HomPoset(_Frozen):
         """The index of ``cell``, or ``None`` when it is not a cell here."""
         if not isinstance(cell, MultiHom):
             return None
-        k = _pack(cell.masks, self.source.n, self._width)
+        return self._position(_pack(cell.masks, self.source.n, self._width))
+
+    def _position(self, k: int | None) -> int | None:
+        """The index of the packed cell ``k``, or ``None`` when it is not a
+        cell here."""
         # A mask that ``_pack`` rejects is ``None``, which equals no cell.
         i = bisect_left(self._packed, k or 0)
         return i if self._packed[i : i + 1] == [k] else None

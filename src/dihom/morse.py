@@ -15,7 +15,9 @@ collapsing engine for simplicial complexes that works on face masks.
 from __future__ import annotations
 
 import random
-from typing import Hashable, Iterable
+from itertools import chain
+from operator import and_, eq
+from typing import Hashable, Iterable, Sequence
 
 from . import _graph
 from .complexes import Poset, SimplicialComplex, _positions
@@ -120,16 +122,22 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     packed cells: a pair is a cover when the two cells differ in one
     member, held by the upper one, and the graph searched has an arrow
     from pair ``k`` to pair ``k'`` when the lower cell of ``k'`` is a face
-    of the upper cell of ``k`` other than its lower cell.  The faces are
-    those of :func:`digraph._faces`, walked in place: most faces are the
-    lower cell of no pair, so testing each one as it is formed, before
-    any lookup, is cheaper than building a face list per upper cell.  A
+    of the upper cell of ``k`` other than its lower cell
+    (:func:`_v_path_arrows`).  A matching that keeps the packed cells of
+    ``p`` itself, as :func:`tournament_matching` makes one, is validated
+    in bulk with no index of the cells (:func:`_is_packed_partition`):
+    its packed cells, sorted, must be the poset's, and each upper cell
+    must hold its lower cell plus one member.  Only when that fails does
+    the pair-by-pair scan run, to name the first failing pair.  A
     plain :class:`Poset` need not be graded, so it gets the full modified
     Hasse diagram.
     """
     if m._poset is p:
         lowers, uppers, critical = m._packed
-        locate = {c: i for i, c in enumerate(p._packed)}.get
+        if _is_packed_partition(p._packed, lowers, uppers, critical):
+            arrows = _v_path_arrows(lowers, uppers, p.source.n, p._width)
+            return _graph.topological_order(arrows) is not None
+        locate = p._position
 
         def show(c: Hashable) -> Hashable:
             return next(p._views((c,)))
@@ -188,30 +196,77 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
         raise InvalidMatching("pairs and critical cells do not partition the poset")
 
     if graded:
-        # The faces of each upper cell, in ``_faces`` order: one that is
-        # the lower cell of another pair is an arrow to that pair.
-        pair_of = {packed[i]: k for k, (i, _) in enumerate(pairs)}
-        full = (1 << p._width) - 1
-        shifts = _shifts(p.source.n, p._width)
-        succ = []
-        for i, j in pairs:
-            c, own, out = packed[j], packed[i], []
-            for s in shifts:
-                block = c >> s & full
-                if block & (block - 1):
-                    while block:
-                        low = block & -block
-                        f = c ^ low << s
-                        if f in pair_of and f != own:
-                            out.append(pair_of[f])
-                        block ^= low
-            succ.append(out)
+        lows = [packed[i] for i, _ in pairs]
+        ups = [packed[j] for _, j in pairs]
+        succ = _v_path_arrows(lows, ups, p.source.n, p._width)
     else:
         # Modified Hasse diagram: matched covers point up, the rest down.
         for i, j in pairs:
             succ[j].remove(i)
             succ[i].append(j)
     return _graph.topological_order(succ) is not None
+
+
+def _is_packed_partition(
+    cells: list[int], lowers: list[int], uppers: list[int], critical: list[int]
+) -> bool:
+    """Whether each ``lowers[k] < uppers[k]`` is a cover of the hom poset
+    with packed ``cells`` and, with ``critical``, they hold every cell
+    once.
+
+    Sorted, the cells named must be ``cells``: each is a cell, and none is
+    named twice.  Each lower cell then lies in its upper one and differs
+    from it, so each upper cell holds at least one more member, and the
+    popcount sums leave room for exactly one.  That is the one-member
+    cover test of the pair-by-pair scan in :func:`is_acyclic_matching`.
+    """
+    return (
+        len(lowers) == len(uppers)
+        and sorted(chain(lowers, uppers, critical)) == cells
+        and all(map(eq, map(and_, lowers, uppers), lowers))
+        and sum(map(int.bit_count, uppers)) - sum(map(int.bit_count, lowers))
+        == len(lowers)
+    )
+
+
+def _v_path_arrows(
+    lowers: list[int], uppers: list[int], n: int, w: int
+) -> list[Sequence[int]]:
+    """The arrows between matched pairs ``lowers[k] < uppers[k]`` of packed
+    cells with ``n`` blocks of ``w`` bits: pair ``k`` points to pair
+    ``k'`` when the lower cell of ``k'`` is a face of the upper cell of
+    ``k`` other than its lower cell.
+
+    The faces are those of :func:`digraph._faces`, walked in place.  The
+    member bits of each block value met, kept in place, are listed once
+    per call (none when it has fewer than two, so it gives no face), and
+    each face is tested as it is formed, since most faces are the lower
+    cell of no pair.  A pair with no arrow shares one empty tuple.
+    """
+    pair_of = {f: k for k, f in enumerate(lowers)}
+    full = (1 << w) - 1
+    masks = [full << s for s in _shifts(n, w)]
+    members: dict[int, tuple[int, ...]] = {}
+    none: tuple[int, ...] = ()
+    succ: list[Sequence[int]] = []
+    for c, own in zip(uppers, lowers):
+        out = none
+        for mask in masks:
+            block = c & mask
+            bits = members.get(block)
+            if bits is None:
+                bits = none
+                if block & (block - 1):
+                    bits = tuple(1 << b for b in _bits(block))
+                members[block] = bits
+            for x in bits:
+                f = c ^ x
+                if f in pair_of and f != own:
+                    if out is none:
+                        out = []
+                    out.append(pair_of[f])
+        succ.append(out)
+    return succ
 
 
 def _peel_levels(g: Digraph) -> list[int]:

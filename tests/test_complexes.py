@@ -230,6 +230,23 @@ class TestFaceAndOrderComplexes:
         assert len(x.facets) == 30240
         assert {len(f) for f in x.facets} == {6}
 
+    def test_order_complex_builds_the_down_masks_once(self, monkeypatch):
+        # A diamond with a top: two maximal chains through covers only.
+        covers = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]
+        p = Poset.from_covers(range(5), covers)
+        calls = []
+        down_masks = Poset.down_masks
+
+        def counted(self):
+            calls.append(self)
+            return down_masks(self)
+
+        monkeypatch.setattr(Poset, "down_masks", counted)
+        x = order_complex(p)
+        assert calls == [p]
+        assert x.facets == {fs(0, 1, 3, 4), fs(0, 2, 3, 4)}
+        assert sorted(p.covering_index_pairs()) == covers
+
     def test_order_complex_cap(self):
         chain = Poset.from_covers(range(12), [(i, i + 1) for i in range(11)])
         with pytest.raises(SizeCapExceeded):

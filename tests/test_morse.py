@@ -1,6 +1,7 @@
 """Tests for acyclic matchings, collapsing engines, and Morse vectors."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,8 @@ from dihom import (
     transitive_tournament,
     void_complex,
 )
+from dihom.digraph import _faces, _pack, _shifts
+from dihom.morse import _v_path_arrows
 
 from conftest import complexes, digraphs, edge_cases
 
@@ -300,6 +303,38 @@ def _check_against_oracle(p, m):
             assert is_acyclic_matching(q, m) is expected
 
 
+def _packed_cells(p, m):
+    """The packed lower, upper and critical cells of ``m`` on the hom poset
+    ``p``; ``None`` when one of them is no cell of ``p``'s shape."""
+    n, w = p.source.n, p._width
+    lowers = [_pack(a.masks, n, w) for a, _ in m.pairs]
+    uppers = [_pack(b.masks, n, w) for _, b in m.pairs]
+    critical = [_pack(c.masks, n, w) for c in m.critical]
+    if None in lowers + uppers + critical:
+        return None
+    return lowers, uppers, critical
+
+
+def _check_arrows(p, lowers, uppers):
+    """The walk's arrows are, per pair, the lower cells of other pairs among
+    the ``_faces`` of its upper cell, in ``_faces`` order."""
+    n, w = p.source.n, p._width
+    pair_of = {f: k for k, f in enumerate(lowers)}
+    expected = [
+        [pair_of[f] for f in faces if f in pair_of and f != own]
+        for own, faces in zip(lowers, _faces(uppers, n, w))
+    ]
+    assert [list(a) for a in _v_path_arrows(lowers, uppers, n, w)] == expected
+
+
+def _check_packed_verdict(p, m):
+    """``m``, a matching of views, gets the same verdict or message when it
+    is given as packed cells."""
+    packed = _packed_cells(p, m)
+    if packed is not None:
+        assert _verdict(p, Matching._from_packed(p, *packed)) == _verdict(p, m)
+
+
 dags = digraphs(4).map(lambda g: Digraph(g.n, [(u, v) for u, v in g.edges if u < v]))
 
 
@@ -340,6 +375,55 @@ class TestPackedMatchingCheck:
         assert _verdict(p, m) == _verdict(q, m)
         for bad in _perturbations(p, m):
             assert _verdict(p, bad) == _verdict(q, bad)
+
+
+class TestVPathArrows:
+    """The packed check's arrow walk stays in step with the one face rule,
+    :func:`digraph._faces`, and a packed matching, validated in bulk or
+    pair by pair, gets the verdict or the message of its views."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags, st.integers(1, 4))
+    @example(Digraph(0), 2)
+    @example(directed_path(2), 3)
+    @example(Digraph(3, [(0, 1), (1, 2)]), 3)
+    def test_tournament_matchings(self, g, n):
+        p = hom_poset(g, transitive_tournament(n))
+        if not len(p) or len(p) > 400:
+            return
+        m = tournament_matching(g, n, poset=p)
+        lowers, uppers, critical = m._packed
+        _check_arrows(p, lowers, uppers)
+        for bad in _perturbations(p, m):
+            _check_packed_verdict(p, bad)
+        # A cover-shaped pair whose lower cell empties a block of the upper
+        # one: it passes the subset and popcount tests, not the sort.
+        full = (1 << p._width) - 1
+        blocks = [full << s for s in _shifts(g.n, p._width)]
+        for k, c in enumerate(uppers):
+            single = [b for b in blocks if (c & b).bit_count() == 1]
+            if single:
+                lows = lowers[:k] + [c & ~single[0]] + lowers[k + 1 :]
+                assert all(a & b == a for a, b in zip(lows, uppers))
+                assert sum(map(int.bit_count, uppers)) - sum(map(int.bit_count, lows)) == len(lows)
+                assert sorted(chain(lows, uppers, critical)) != p._packed
+                bad = Matching._from_packed(p, lows, uppers, critical)
+                message = _verdict(p, bad)
+                assert "mentions unknown cells" in message
+                assert message == _verdict(p, Matching(bad.pairs, bad.critical))
+                break
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(3), digraphs(3))
+    @edge_cases
+    def test_greedy_matchings(self, g, h):
+        p = hom_poset(g, h)
+        if len(p) > 300:
+            return
+        m = _greedy_matching(p, random.Random(len(p)))
+        _check_arrows(p, *_packed_cells(p, m)[:2])
+        for bad in [m, *_perturbations(p, m)]:
+            _check_packed_verdict(p, bad)
 
 
 class TestMatchingCheckOracle:
