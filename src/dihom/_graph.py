@@ -2,7 +2,8 @@
 
 Every reachability question the package asks goes through one of these:
 components of hom complexes and their one-skeleta, paths between
-homomorphisms, acyclicity of Morse matchings and of DAG sources.  Most take
+homomorphisms, acyclicity of Morse matchings and of DAG sources, the peel
+levels of a DAG source and the height of a poset.  Most take
 adjacency lists; :func:`reach` takes one successor bitset per vertex.
 """
 
@@ -75,3 +76,16 @@ def topological_order(succ: Sequence[Sequence[int]]) -> list[int] | None:
             if indeg[w] == 0:
                 order.append(w)
     return order if len(order) == len(succ) else None
+
+
+def levels(succ: Sequence[Sequence[int]]) -> list[int] | None:
+    """The most arrows on a path out of each vertex (sinks get 0) of the
+    digraph with successor lists ``succ``, or ``None`` when it has a
+    directed cycle."""
+    order = topological_order(succ)
+    if order is None:
+        return None
+    level = [0] * len(succ)
+    for v in reversed(order):
+        level[v] = max((level[w] + 1 for w in succ[v]), default=0)
+    return level

@@ -38,7 +38,7 @@ from .constructions import (
     transitive_tournament,
 )
 from .digraph import DEFAULT_CAP, Digraph, VertexMap, _decode_maps, _multihoms
-from .errors import DihomError, EmptyHom, NotAcyclic, ParseError, SizeCapExceeded
+from .errors import DihomError, EmptyHom, ParseError, SizeCapExceeded
 from .homcomplex import hom_poset
 from .homology import HomologyGroups, homology_of_poset, is_n_leray, reduced_homology
 from .homotopy import _fold_to_stiff, _HomRelations, _is_looped_point
@@ -273,11 +273,8 @@ def _cmd_reconfig(ns: argparse.Namespace) -> Any:
     t = transitive_tournament(ns.n)
     # A map into T_n exists exactly when the source is acyclic with peel
     # levels below n, so a source without one fails before any search.
-    try:
-        empty = g.n > 0 and max(_peel_levels(g)) >= ns.n
-    except NotAcyclic:
-        empty = True
-    if empty:
+    level = _peel_levels(g)
+    if level is None or (g.n and max(level) >= ns.n):
         raise EmptyHom(f"no homomorphisms into the transitive tournament T_{ns.n}")
     cells = _multihoms(g, t, max_dim=1, limit=cap + 1)
     if len(cells) > cap:

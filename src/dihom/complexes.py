@@ -281,7 +281,8 @@ class Poset(_Frozen):
     indices, so comparability and cover queries stay cheap even for a few
     thousand elements.  The relation passed to the constructor is validated
     (irreflexive, antisymmetric, transitive); :meth:`from_covers` skips the
-    transitivity check by construction.
+    transitivity check by construction.  Both raise ``ValueError`` when a
+    pair mentions something that is not an element.
     """
 
     __slots__ = ("elements", "_pos", "_up")
@@ -300,13 +301,14 @@ class Poset(_Frozen):
         if _up is None:
             up = [0] * len(elems)
             for a, b in less_than:
-                i, j = pos[a], pos[b]
+                try:
+                    i, j = pos[a], pos[b]
+                except KeyError as e:
+                    raise ValueError(f"unknown poset element {e.args[0]!r}") from None
                 if i == j:
                     raise ValueError(f"relation is not irreflexive: {a!r} < {a!r}")
                 up[i] |= 1 << j
             for i in range(len(elems)):
-                if up[i] >> i & 1:
-                    raise ValueError("relation is not irreflexive")
                 for j in _bits(up[i]):
                     if up[j] >> i & 1:
                         raise ValueError("relation is not antisymmetric")
@@ -332,8 +334,11 @@ class Poset(_Frozen):
         elems = tuple(elements)
         pos = {x: i for i, x in enumerate(elems)}
         succ: list[list[int]] = [[] for _ in elems]
-        for a, b in covers:
-            succ[pos[a]].append(pos[b])
+        try:
+            for a, b in covers:
+                succ[pos[a]].append(pos[b])
+        except KeyError as e:
+            raise ValueError(f"unknown poset element {e.args[0]!r}") from None
         order = _graph.topological_order(succ)
         if order is None:
             raise ValueError("cover relation has a cycle")
@@ -456,7 +461,7 @@ def universality_graph(x: SimplicialComplex) -> Digraph:
         raise EmptyComplex("cannot realize the void complex")
     k = len(x.vertices)
     tops = sorted(x._tops, key=_positions)
-    edges = [(k + r, i) for r, t in enumerate(tops) for i in _bits(t)]
+    edges = ((k + r, i) for r, t in enumerate(tops) for i in _bits(t))
     return Digraph(k + len(tops), edges)
 
 

@@ -9,6 +9,7 @@ canonical-key order.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .digraph import Digraph, _bits, _check_vertex_count, product, quotient
@@ -20,21 +21,21 @@ def transitive_tournament(n: int) -> Digraph:
     if n < 1:
         raise InvalidSize(f"transitive tournament needs n >= 1, got {n}")
     _check_vertex_count(n)
-    return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Digraph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def directed_path(n: int) -> Digraph:
     """The directed path on ``n`` vertices ``0 -> 1 -> ... -> n-1``."""
     if n < 1:
         raise InvalidSize(f"directed path needs n >= 1, got {n}")
-    return Digraph(n, [(i, i + 1) for i in range(n - 1)])
+    return Digraph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def directed_cycle(n: int) -> Digraph:
     """The directed cycle ``0 -> 1 -> ... -> n-1 -> 0`` (``n >= 3``)."""
     if n < 3:
         raise InvalidSize(f"directed cycle needs n >= 3, got {n}")
-    return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Digraph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def interval_bidirected(n: int) -> Digraph:
@@ -43,20 +44,18 @@ def interval_bidirected(n: int) -> Digraph:
     that may move back and forth."""
     if n < 0:
         raise InvalidSize(f"interval length must be non-negative, got {n}")
-    edges = [(i, i) for i in range(n + 1)]
-    for i in range(n):
-        edges.append((i, i + 1))
-        edges.append((i + 1, i))
-    return Digraph(n + 1, edges)
+    loops = ((i, i) for i in range(n + 1))
+    forward = ((i, i + 1) for i in range(n))
+    backward = ((i + 1, i) for i in range(n))
+    return Digraph(n + 1, chain(loops, forward, backward))
 
 
 def interval_directed_looped(n: int) -> Digraph:
     """Fully looped path on ``n + 1`` vertices with forward edges only."""
     if n < 0:
         raise InvalidSize(f"interval length must be non-negative, got {n}")
-    edges = [(i, i) for i in range(n + 1)]
-    edges.extend((i, i + 1) for i in range(n))
-    return Digraph(n + 1, edges)
+    loops = ((i, i) for i in range(n + 1))
+    return Digraph(n + 1, chain(loops, ((i, i + 1) for i in range(n))))
 
 
 def line_digraph(n: int, orientation: Sequence[int]) -> Digraph:
@@ -73,17 +72,16 @@ def line_digraph(n: int, orientation: Sequence[int]) -> Digraph:
         raise InvalidSize(
             f"orientation must have exactly {n} entries, got {len(orientation)}"
         )
-    edges = [(i, i) for i in range(n + 1)]
-    for i, bit in enumerate(orientation):
-        edges.append((i, i + 1) if bit else (i + 1, i))
-    return Digraph(n + 1, edges)
+    loops = ((i, i) for i in range(n + 1))
+    steps = ((i, i + 1) if bit else (i + 1, i) for i, bit in enumerate(orientation))
+    return Digraph(n + 1, chain(loops, steps))
 
 
 def complete_bipartite_digraph(m: int, n: int) -> Digraph:
     """All ``m * n`` edges from ``{0..m-1}`` to ``{m..m+n-1}``."""
     if m < 1 or n < 1:
         raise InvalidSize(f"both sides must be nonempty, got ({m}, {n})")
-    return Digraph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return Digraph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +157,7 @@ def sphere_tournament(n: int) -> Digraph:
             outs[i - 1] = set(range(i - 1)) | {n + 1 + i}
         for i in range(n + 2, size + 1):  # n+2 <= i <= 2n+3
             outs[i - 1] = set(range(i - 1)) - {i - n - 3}
-    edges = [(v, w) for v, targets in outs.items() for w in targets]
+    edges = ((v, w) for v, targets in outs.items() for w in targets)
     return Digraph(max(outs) + 1, edges)
 
 
@@ -232,7 +230,9 @@ def canonical_key(g: Digraph) -> int:
 def digraph_from_key(n: int, key: int) -> Digraph:
     """Rebuild the digraph encoded by a canonical key (inverse of the
     packing used in :func:`canonical_key`).  Raises
+    :class:`SizeCapExceeded` for ``n > 64``, before it reads ``key``, and
     :class:`InvalidRange` unless ``0 <= key < 2 ** (n * n)``."""
+    _check_vertex_count(n)
     if not 0 <= key < 1 << n * n:
         raise InvalidRange(f"key {key} does not fit in {n * n} adjacency bits")
     slots = []
@@ -241,7 +241,7 @@ def digraph_from_key(n: int, key: int) -> Digraph:
         for p in range(k):
             slots += [(k, p), (p, k)]
     # The last slot is the least significant bit.
-    return Digraph(n, [arc for i, arc in enumerate(reversed(slots)) if key >> i & 1])
+    return Digraph(n, (arc for i, arc in enumerate(reversed(slots)) if key >> i & 1))
 
 
 def canonical_form(g: Digraph) -> Digraph:

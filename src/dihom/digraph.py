@@ -57,7 +57,9 @@ class _Frozen:
 
 def _check_vertex_count(n: int) -> None:
     """Raise :class:`SizeCapExceeded` for more than ``MAX_VERTICES``
-    vertices.  Constructors call it before they build an edge list."""
+    vertices.  :class:`Digraph` calls it before it reads an edge, so a
+    constructor that passes its edges as a generator needs no check of its
+    own; one that builds anything else first calls it itself."""
     if n > MAX_VERTICES:
         raise SizeCapExceeded(f"at most {MAX_VERTICES} vertices supported, got {n}")
 
@@ -72,8 +74,9 @@ class Digraph(_Frozen):
         are rejected with :class:`SizeCapExceeded` because neighborhoods
         are stored as 64-bit masks.
     edges:
-        Iterable of ordered pairs ``(u, v)``.  Loops ``(v, v)`` are fine,
-        duplicates collapse.
+        Iterable of ordered pairs ``(u, v)``, read only after ``n`` has
+        passed the size check.  Loops ``(v, v)`` are fine, duplicates
+        collapse.
     """
 
     __slots__ = ("n", "edges", "_out", "_in")
@@ -228,19 +231,15 @@ def product(g: Digraph, h: Digraph) -> Digraph:
     Vertex ``(a, b)`` is flattened to ``a * h.n + b``; ``((a,b),(c,d))`` is
     an edge iff ``(a,c)`` and ``(b,d)`` both are.
     """
-    n = g.n * h.n
-    edges = []
-    for a, c in g.edges:
-        for b, d in h.edges:
-            edges.append((a * h.n + b, c * h.n + d))
-    return Digraph(n, edges)
+    k = h.n
+    edges = ((a * k + b, c * k + d) for a, c in g.edges for b, d in h.edges)
+    return Digraph(g.n * k, edges)
 
 
 def coproduct(g: Digraph, h: Digraph) -> Digraph:
     """Disjoint union; the second summand's labels are shifted by ``g.n``."""
-    edges = list(g.edges)
-    edges.extend((u + g.n, v + g.n) for (u, v) in h.edges)
-    return Digraph(g.n + h.n, edges)
+    shifted = ((u + g.n, v + g.n) for (u, v) in h.edges)
+    return Digraph(g.n + h.n, itertools.chain(g.edges, shifted))
 
 
 def exponential(h: Digraph, g: Digraph, cap: int = DEFAULT_CAP) -> Digraph:

@@ -4,7 +4,8 @@ Every error raised by this library derives from :class:`DihomError`, so
 callers (including the CLI) can distinguish domain failures from
 programming bugs with a single ``except`` clause.  The exceptions are
 ``ValueError`` from :class:`Poset` when the given relation is not a
-strict partial order (or the covers have a cycle) and from
+strict partial order, the covers have a cycle or a pair mentions something
+that is not an element, and from
 ``replay_collapses`` when a logged step is not a free pair, and the
 ``KeyError`` that the ``index`` and ``class_of`` lookups raise, as a
 mapping does, for something they do not hold.

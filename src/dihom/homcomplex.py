@@ -429,20 +429,10 @@ class NuReduction(_Frozen):
     def order_complex_dimension(self) -> int:
         """Length (in edges) of the longest chain in the image poset."""
         p = self.image_poset
-        down = p.down_masks()
-        order = sorted(range(len(p.elements)), key=lambda i: down[i].bit_count())
-        height = [0] * len(p.elements)
-        best = -1
-        for i in order:
-            h = 0
-            m = down[i]
-            while m:
-                low = m & -m
-                h = max(h, height[low.bit_length() - 1] + 1)
-                m ^= low
-            height[i] = h
-            best = max(best, h)
-        return best
+        succ: list[list[int]] = [[] for _ in p.elements]
+        for i, j in p.covering_index_pairs():
+            succ[i].append(j)
+        return max(_graph.levels(succ), default=-1)
 
     def __repr__(self) -> str:
         return (

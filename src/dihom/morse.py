@@ -269,16 +269,10 @@ def _v_path_arrows(
     return succ
 
 
-def _peel_levels(g: Digraph) -> list[int]:
-    """Longest-path-from-vertex levels of a DAG (sinks are level 0)."""
-    succ = [list(g.out_neighbors(v)) for v in range(g.n)]
-    order = _graph.topological_order(succ)
-    if order is None:
-        raise NotAcyclic("digraph has a directed cycle")
-    level = [0] * g.n
-    for v in reversed(order):
-        level[v] = max((level[w] + 1 for w in succ[v]), default=0)
-    return level
+def _peel_levels(g: Digraph) -> list[int] | None:
+    """Longest-path-from-vertex levels of a DAG (sinks are level 0), or
+    ``None`` when ``g`` has a directed cycle."""
+    return _graph.levels([list(_bits(m)) for m in g._out])
 
 
 def tournament_matching(
@@ -307,6 +301,8 @@ def tournament_matching(
     """
     t = transitive_tournament(n)
     level = _peel_levels(g)
+    if level is None:
+        raise NotAcyclic("digraph has a directed cycle")
     if g.n and max(level) >= n:
         raise EmptyHom(
             f"no homomorphism: longest directed path has {max(level) + 1} vertices"
@@ -315,9 +311,6 @@ def tournament_matching(
         poset = hom_poset(g, t, cap)
     elif poset.source != g or poset.target != t:
         raise ShapeMismatch(f"{poset!r} is not the hom poset of the source into T_{n}")
-    by_level: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_level.setdefault(level[v], []).append(v)
     # Work on the packed cells: vertex a's assignment is the block at
     # ``offsets[a]``.
     full = (1 << poset._width) - 1
@@ -325,20 +318,20 @@ def tournament_matching(
     uppers: list[int] = []
     lowers: list[int] = []
     live = poset._packed
-    for lvl in sorted(by_level):
-        bit = 1 << n - 1 - lvl
-        for a in sorted(by_level[lvl]):
-            offset = offsets[a]
-            survivors = []
-            for c in live:
-                mask = c >> offset & full
-                if mask == bit:
-                    survivors.append(c)
-                elif mask & bit:
-                    uppers.append(c)
-                    lowers.append(c ^ bit << offset)
-                # cells without the bit are exactly the lowers added above
-            live = survivors
+    # Sinks first, by label within a level (the sort is stable).
+    for a in sorted(range(g.n), key=level.__getitem__):
+        bit = 1 << n - 1 - level[a]
+        offset = offsets[a]
+        survivors = []
+        for c in live:
+            mask = c >> offset & full
+            if mask == bit:
+                survivors.append(c)
+            elif mask & bit:
+                uppers.append(c)
+                lowers.append(c ^ bit << offset)
+            # cells without the bit are exactly the lowers added above
+        live = survivors
     return Matching._from_packed(poset, lowers, uppers, live)
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from dihom import (
     canonical_form,
     canonical_key,
     complete_bipartite_digraph,
+    coproduct,
     digraph_from_key,
     directed_cycle,
     directed_path,
@@ -32,6 +34,7 @@ from dihom import (
     is_isomorphic,
     line_digraph,
     mycielskian,
+    product,
     sphere_tournament,
     transitive_tournament,
 )
@@ -39,6 +42,25 @@ from dihom.cli import run
 from dihom.constructions import _least_orderings
 from dihom.digraph import _bits
 from conftest import random_digraph, random_tournament, relabel
+
+
+# Complete digraphs, every loop included.
+_K16 = Digraph(16, itertools.product(range(16), repeat=2))
+_K64 = Digraph(64, itertools.product(range(64), repeat=2))
+
+# Calls over the 64-vertex limit whose edge lists would take hundreds of
+# kilobytes or more.
+_OVERSIZED = [
+    (product, (_K16, _K16)),
+    (coproduct, (_K64, _K64)),
+    (directed_path, (10**5,)),
+    (directed_cycle, (10**5,)),
+    (interval_bidirected, (10**5,)),
+    (interval_directed_looped, (10**5,)),
+    (line_digraph, (10**5, range(1, 10**5 + 1))),  # all forward
+    (complete_bipartite_digraph, (300, 300)),
+    (digraph_from_key, (300, 0)),
+]
 
 
 class TestFamilies:
@@ -84,6 +106,21 @@ class TestFamilies:
         monkeypatch.setattr(dihom.constructions, "Digraph", fail)
         with pytest.raises(SizeCapExceeded):
             family(65)
+
+    @pytest.mark.parametrize(
+        "family, args", _OVERSIZED, ids=[f.__name__ for f, _ in _OVERSIZED]
+    )
+    def test_size_cap_before_any_edge(self, family, args):
+        # The vertex count is checked before any edge is formed, so the
+        # call allocates almost nothing.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapExceeded):
+                family(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000
 
     def test_interval_family(self):
         # n indexes the number of steps, so there are n + 1 looped vertices.

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihom._graph import bfs_distances, components, reach, topological_order
+from dihom._graph import bfs_distances, components, levels, reach, topological_order
 
 # Successor lists of digraphs on up to 6 vertices; loops and repeated arcs
 # are allowed, and n = 0 gives the empty graph.
@@ -96,11 +96,29 @@ def test_topological_order_exactly_on_acyclic_digraphs(succ):
             assert position[u] < position[w]
 
 
+def longest_path(succ: list[list[int]], v: int) -> int:
+    """Most arrows on a path out of ``v``, by its recursive definition
+    (the digraph must be acyclic)."""
+    return max((longest_path(succ, w) + 1 for w in succ[v]), default=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(successor_lists)
+def test_levels_are_longest_path_lengths(succ):
+    level = levels(succ)
+    if topological_order(succ) is None:
+        assert level is None
+    else:
+        assert level == [longest_path(succ, v) for v in range(len(succ))]
+
+
 def test_loop_is_a_cycle():
     assert topological_order([[0]]) is None
+    assert levels([[0]]) is None
     assert topological_order([[1], []]) == [0, 1]
 
 
 def test_empty_graph():
     assert components([]) == []
     assert topological_order([]) == []
+    assert levels([]) == []

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from dihom import (
     complete_bipartite_digraph,
     diameter,
     enumerate_homomorphisms,
+    enumerate_tournaments,
     full_simplex,
     hom_one_skeleton,
     hom_poset,
@@ -36,6 +38,7 @@ from dihom import (
     is_multihom,
     is_n_leray,
     multihom_of_map,
+    order_complex,
     out_neighborhood_complex,
     reduced_homology,
     sphere_tournament,
@@ -472,6 +475,23 @@ class TestClosureNu:
         assert len(red.image_poset.elements) == 1
         assert red.order_complex_dimension == 0
         assert set(red.mapping.values()) == {frozenset({2, 3, 4})}
+
+    def test_height_is_order_complex_dimension(self):
+        # The longest chain of the image poset is a top simplex of its
+        # order complex.  Heights 0 to 4 all occur among these images.
+        rng = random.Random(0)
+        graphs = [sphere_tournament(1), sphere_tournament(2)]
+        graphs += enumerate_tournaments(5) + enumerate_tournaments(6)
+        graphs += [random_digraph(rng, rng.randint(3, 7)) for _ in range(200)]
+        heights = set()
+        for g in graphs:
+            if not g.edges:
+                continue
+            red = closure_nu(g)
+            height = red.order_complex_dimension
+            assert height == order_complex(red.image_poset).dimension(), g
+            heights.add(height)
+        assert heights == set(range(5))
 
     def test_extensive_idempotent_monotone(self):
         red = closure_nu(nbd_example_digraph())
