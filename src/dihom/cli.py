@@ -25,6 +25,7 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 from typing import Any, Sequence
 
 from . import __version__
@@ -276,15 +277,22 @@ def _cmd_reconfig(ns: argparse.Namespace) -> Any:
     level = _peel_levels(g)
     if level is None or (g.n and max(level) >= ns.n):
         raise EmptyHom(f"no homomorphisms into the transitive tournament T_{ns.n}")
-    cells = _multihoms(g, t, max_dim=1, limit=cap + 1)
-    if len(cells) > cap:
+    maps = _multihoms(g, t, max_dim=0, limit=cap + 1)
+    # The source is loopless, so two maps are joined exactly when they
+    # differ at one vertex: per vertex block, C(m, 2) edges for each m maps
+    # that are equal once the block is masked out.
+    edges = 0
+    for s in range(0, g.n * ns.n, ns.n):
+        if len(maps) + edges <= cap:
+            counts = Counter(c & ~((1 << ns.n) - 1 << s) for c in maps)
+            edges += sum(m * (m - 1) // 2 for m in counts.values())
+    if len(maps) + edges > cap:
         raise SizeCapExceeded(f"hom one-skeleton exceeds cap of {ns.cap} cells")
-    maps = [c for c in cells if c.bit_count() == g.n]
     # Into T_n the skeleton is connected, and its diameter is the Hamming
     # distance of the pointwise min and max maps, the first and the last.
     out: dict[str, Any] = {
         "homomorphisms": len(maps),
-        "edges": len(cells) - len(maps),
+        "edges": edges,
         "connected": True,
         "diameter": (maps[0] ^ maps[-1]).bit_count() // 2,
     }

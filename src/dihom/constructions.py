@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .digraph import Digraph, _bits, _check_vertex_count, product, quotient
+from .digraph import Digraph, _bits, _check_vertex_count
 from .errors import InvalidRange, InvalidSize, InvalidVariant, SizeCapExceeded
 
 
@@ -116,17 +116,18 @@ def mycielskian(g: Digraph, variant: int) -> Digraph:
         raise InvalidVariant(f"variant must be 1, 2 or 3, got {variant!r}")
     if g.n == 0:
         raise InvalidSize("mycielskian needs a nonempty digraph")
-    p = product(g, _INTERVALS[variant])  # vertex (v, layer) -> 3 * v + layer
+    # The quotient's edges come straight from the arcs of ``g`` and the
+    # interval, so the 3n-vertex product is never formed.  ``layers[k][v]``
+    # is the class of vertex ``v`` in layer ``k``: a copy of ``g``'s labels,
+    # or one apex for the whole layer.
     n = g.n
     if variant in (1, 2):
-        classes: list[list[int]] = [[3 * v] for v in range(n)]
-        classes += [[3 * v + 1] for v in range(n)]
-        classes.append([3 * v + 2 for v in range(n)])
+        size, layers = 2 * n + 1, (range(n), range(n, 2 * n), [2 * n] * n)
     else:
-        classes = [[3 * v + 1] for v in range(n)]
-        classes.append([3 * v for v in range(n)])
-        classes.append([3 * v + 2 for v in range(n)])
-    return quotient(p, classes)
+        size, layers = n + 2, ([n] * n, range(n), [n + 1] * n)
+    arcs = _INTERVALS[variant].edges
+    edges = ((layers[b][u], layers[d][v]) for u, v in g.edges for b, d in arcs)
+    return Digraph(size, edges)
 
 
 # ---------------------------------------------------------------------------

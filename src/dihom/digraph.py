@@ -407,8 +407,10 @@ def _decode_maps(cells: Iterable[int], n: int, w: int) -> list[VertexMap]:
 def _multihoms(
     g: Digraph, h: Digraph, max_dim: int | None = None, limit: int | None = None
 ) -> list[int]:
-    """The multihomomorphisms ``g -> h`` of dimension at most ``max_dim``,
-    as cells in ascending order.
+    """The multihomomorphisms ``g -> h`` as cells in ascending order.
+
+    The search has two modes: every cell (``max_dim=None``), or the 0-cells
+    alone (``max_dim=0``), the homomorphisms.
 
     With a positive ``limit`` the search stops after ``limit`` cells and
     returns the first ``limit`` cells it found, ascending: all of them when
@@ -426,11 +428,14 @@ def _multihoms(
     ties.  Each set is packed at its vertex's own block, and one sort
     restores the ascending order.
 
-    Unbounded, the last vertex of the order makes no call per cell: its
-    admissible sets are appended straight to the cell list, one at a time
-    until ``limit``.
+    For every cell a vertex walks each admissible subset of its allowed
+    values, for the 0-cells each single value in ascending order.  In both
+    modes the last vertex of the order makes no call per cell: its sets
+    are appended straight to the cell list, one at a time until ``limit``.
     """
     n = g.n
+    if not n:
+        return [0]  # the one empty map
     full = (1 << h.n) - 1
     shifts = _shifts(n, max(h.n, 1))
     looped = _mask_of(t for t in range(h.n) if h._out[t] >> t & 1)
@@ -455,46 +460,45 @@ def _multihoms(
     masks = [0] * n
     last = n - 1
 
-    def rec(i: int, acc: int, budget: int | None) -> bool:
-        """Extend the first ``i`` placements, packed in ``acc``, spending
-        at most ``budget`` extra values; True once ``limit`` is hit."""
-        if i == n:
-            cells.append(acc)
-            return len(cells) == limit
+    def rec(i: int, acc: int) -> bool:
+        """Extend the first ``i`` placements, packed in ``acc``; True once
+        ``limit`` is hit."""
         v, shift, loop, ins, outs = steps[i]
         allowed = looped if loop else full
         for u in ins:
             allowed &= co(masks[u])
         for u in outs:
             allowed &= ci(masks[u])
-        if budget is None:
-            s = 0
-            if i == last:
-                while s := (s - allowed) & allowed:
-                    if not loop or s & ~co(s) == 0:
-                        cells.append(acc | s << shift)
-                        if len(cells) == limit:
-                            return True
-                return False
-            while s := (s - allowed) & allowed:
-                if not loop or s & ~co(s) == 0:
+        if max_dim == 0:
+            # A looped vertex only allows looped values, so a single value
+            # needs no clique test.
+            while s := allowed & -allowed:
+                allowed ^= s
+                if i == last:
+                    cells.append(acc | s << shift)
+                    if len(cells) == limit:
+                        return True
+                else:
                     masks[v] = s
-                    if rec(i + 1, acc | s << shift, None):
+                    if rec(i + 1, acc | s << shift):
                         return True
             return False
-        # Form only the sets of at most budget + 1 values: walking every
-        # subset of ``allowed`` and discarding the big ones costs 2**|allowed|.
-        values = [1 << t for t in _bits(allowed)]
-        sizes = range(1, min(budget + 1, len(values)) + 1)
-        sets = [sum(c) for k in sizes for c in itertools.combinations(values, k)]
-        for s in sets:
+        s = 0
+        if i == last:
+            while s := (s - allowed) & allowed:
+                if not loop or s & ~co(s) == 0:
+                    cells.append(acc | s << shift)
+                    if len(cells) == limit:
+                        return True
+            return False
+        while s := (s - allowed) & allowed:
             if not loop or s & ~co(s) == 0:
                 masks[v] = s
-                if rec(i + 1, acc | s << shift, budget + 1 - s.bit_count()):
+                if rec(i + 1, acc | s << shift):
                     return True
         return False
 
-    rec(0, 0, max_dim)
+    rec(0, 0)
     cells.sort()
     return cells
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import _graph
 from .complexes import (
@@ -164,7 +164,9 @@ class HomPoset(_Frozen):
     the one-skeleton and the Morse check use; because the cell set is
     closed downwards, the covers are exactly the faces of each cell.  The
     constructor raises :class:`ShapeMismatch` for a cell that is not a
-    multihomomorphism ``source -> target`` or whose face is missing.
+    multihomomorphism ``source -> target`` or whose face is missing, and
+    when a 1-cell between two of the 0-cells is missing: the components
+    are read off the 0-cells, which would join them.
     """
 
     __slots__ = ("source", "target", "_width", "_packed", "_cells")
@@ -183,6 +185,11 @@ class HomPoset(_Frozen):
             if not all(f in packed for f in faces):
                 raise ShapeMismatch(f"{c!r} is in the cells but a face of it is not")
         self._fill(source, target, sorted(packed))
+        # Each 1-cell here joins two of the 0-cells, so equal counts mean
+        # that every edge the one-skeleton reads off the 0-cells is here.
+        edges = sum(map(len, _skeleton(self._maps(), source, target))) // 2
+        if edges != sum(k.bit_count() == n + 1 for k in packed):
+            raise ShapeMismatch("a 1-cell between two of the 0-cells is missing")
 
     def _fill(self, source: Digraph, target: Digraph, packed: list[int]) -> None:
         object.__setattr__(self, "source", source)
@@ -231,10 +238,13 @@ class HomPoset(_Frozen):
     def leq(self, a: MultiHom, b: MultiHom) -> bool:
         return a.leq(b)
 
+    def _maps(self) -> list[int]:
+        """The packed 0-cells, ascending."""
+        return [c for c in self._packed if c.bit_count() == self.source.n]
+
     def minimal_cells(self) -> list[MultiHom]:
         """The honest homomorphisms (all-singleton cells)."""
-        n = self.source.n
-        return list(self._views(c for c in self._packed if c.bit_count() == n))
+        return list(self._views(self._maps()))
 
     def homomorphisms(self) -> list[VertexMap]:
         return [c.singleton_map() for c in self.minimal_cells()]
@@ -265,27 +275,24 @@ class HomPoset(_Frozen):
         """The cells of each component, in order of their least cell.
 
         A cell lies in the component of the 0-cell below it that keeps the
-        lowest member of each block, so only the one-skeleton is searched.
-        That 0-cell is also the least of the cells it is assigned, hence the
-        order."""
-        index, adj = _skeleton(self._packed, self.source.n, self._width)
-        comps = _graph.components(adj)
-        label = [0] * len(index)
-        for k, comp in enumerate(comps):
-            for i in comp:
-                label[i] = k
+        lowest member of each block, so only the one-skeleton, read off the
+        0-cells, is searched.  That 0-cell is also the least of the cells it
+        is assigned, hence the order."""
+        maps = self._maps()
+        comps = _graph.components(_skeleton(maps, self.source, self.target))
+        label = {maps[i]: k for k, comp in enumerate(comps) for i in comp}
         # Every block is nonempty, so subtracting one from each borrows
         # nothing across blocks, and ``c & ~(c - ones)`` keeps the lowest
         # member of each.
         ones = sum(1 << s for s in _shifts(self.source.n, self._width))
         out: list[list[MultiHom]] = [[] for _ in comps]
         for c, view in zip(self._packed, self.cells):
-            out[label[index[c & ~(c - ones)]]].append(view)
+            out[label[c & ~(c - ones)]].append(view)
         return out
 
     def is_connected(self) -> bool:
         # A complex is connected exactly when its one-skeleton is.
-        adj = _skeleton(self._packed, self.source.n, self._width)[1]
+        adj = _skeleton(self._maps(), self.source, self.target)
         return len(_graph.components(adj)) == 1
 
     def as_poset(self) -> Poset:
@@ -316,10 +323,10 @@ class HomSkeleton(_Frozen):
 
     Two maps are adjacent when they differ at exactly one vertex *and* the
     doubled assignment at that vertex is still a multihomomorphism.  The
-    second condition is what loops in ``g`` add: differing at one vertex is
-    not enough if the two values there are not interchangeable (see the
-    tests for a two-looped-vertices example where the skeleton stays
-    edgeless).
+    second condition is what loops in ``g`` add: at a looped vertex the two
+    values must also be joined both ways in ``h`` (see the tests for a
+    two-looped-vertices example where the skeleton stays edgeless).  So the
+    adjacency is read off the maps alone, with no search for 1-cells.
 
     Only the maps, their ascending neighbour tuples and the map index are
     stored; :attr:`edges` is derived from the neighbours when it is read.
@@ -362,39 +369,43 @@ class HomSkeleton(_Frozen):
 
 def hom_one_skeleton(g: Digraph, h: Digraph) -> HomSkeleton:
     """Vertices and edges of the homomorphism complex of ``(g, h)``."""
-    n, w = g.n, max(h.n, 1)
-    index, adj = _skeleton(_multihoms(g, h, max_dim=1), n, w)
-    return HomSkeleton(_decode_maps(index, n, w), adj)
+    maps = _multihoms(g, h, max_dim=0)
+    return HomSkeleton(_decode_maps(maps, g.n, max(h.n, 1)), _skeleton(maps, g, h))
 
 
-def _skeleton(
-    cells: Iterable[int], n: int, w: int
-) -> tuple[dict[int, int], list[list[int]]]:
-    """The one-skeleton of ascending ``cells`` (downward closed, ``n``
-    blocks of ``w`` bits).
+def _skeleton(maps: Sequence[int], g: Digraph, h: Digraph) -> list[list[int]]:
+    """The one-skeleton of the hom complex of ``(g, h)``, read off its
+    ascending 0-cells ``maps``: ``adj[i]`` lists the positions of the
+    neighbours of ``maps[i]``, ascending.
 
-    Returns ``(index, adj)``: ``index`` numbers the 0-cells in ascending
-    order, and ``adj[i]`` lists the neighbours of 0-cell ``i`` in ascending
-    order.  Each 1-cell joins its two faces under :func:`digraph._faces`,
-    the 0-cells that drop one member of its doubled block.  Every
-    connectivity and reconfiguration question reads this builder.
+    A 1-cell doubles one vertex's block, so two maps are joined when they
+    differ at exactly one vertex ``v``; if ``v`` has a loop in ``g``, their
+    two values there must also be joined both ways in ``h``.  So for each
+    vertex the maps are grouped by their other blocks, and the pairs inside
+    a group are its edges.  Every connectivity and reconfiguration question
+    reads this builder.
     """
-    index: dict[int, int] = {}
-    doubled = []
-    for c in cells:
-        dim = c.bit_count() - n
-        if dim == 0:
-            index[c] = len(index)
-        elif dim == 1:
-            doubled.append(c)
-    adj: list[list[int]] = [[] for _ in index]
-    for a, b in _faces(doubled, n, w):
-        i, j = index[a], index[b]
-        adj[i].append(j)
-        adj[j].append(i)
+    full = (1 << h.n) - 1
+    adj: list[list[int]] = [[] for _ in maps]
+    for v, s in enumerate(_shifts(g.n, max(h.n, 1))):
+        loop = g.has_loop(v)
+        groups: dict[int, list[int]] = {}
+        for i, c in enumerate(maps):
+            groups.setdefault(c & ~(full << s), []).append(i)
+        for group in groups.values():
+            if len(group) > 1:
+                for k, i in enumerate(group):
+                    if loop:
+                        # The values joined both ways to ``t``, map
+                        # ``i``'s value at ``v``, placed in ``v``'s block.
+                        t = (maps[i] >> s & full).bit_length() - 1
+                        ok = (h._out[t] & h._in[t]) << s
+                        adj[i] += [j for j in group if maps[j] & ok and j != i]
+                    else:
+                        adj[i] += group[:k] + group[k + 1 :]
     for js in adj:
         js.sort()
-    return index, adj
+    return adj
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ the pointwise minimum of two homomorphisms is a homomorphism, and walking
 through it realizes the Hamming distance exactly.  So into ``T_n`` the
 skeleton is connected when nonempty, with diameter the count of vertices
 where the pointwise min and max of all maps differ.  For any target, both
-:func:`is_connected_hom` and :func:`diameter` read the adjacency that
-``homcomplex._skeleton`` builds from the 0- and 1-cells of one
-multihomomorphism search: the first labels its components, the second
-runs a breadth-first search from every map.  Neither builds a vertex map.
+:func:`is_connected_hom` and :func:`diameter` make one search for the
+homomorphisms alone and read the adjacency that ``homcomplex._skeleton``
+builds from them: two maps are joined when they differ at one vertex,
+whose two values, if it has a loop, are joined both ways in the target.
+The first labels its components, the second runs a breadth-first search
+from every map.  Neither builds a vertex map.  ``dihom reconfig`` builds
+no adjacency at all: into ``T_n`` it counts the edges off the maps.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def is_connected_hom(g: Digraph, h: Digraph) -> bool:
 
     Raises :class:`EmptyHom` when there are no homomorphisms at all.
     """
-    adj = _skeleton(_multihoms(g, h, max_dim=1), g.n, max(h.n, 1))[1]
+    adj = _skeleton(_multihoms(g, h, max_dim=0), g, h)
     if not adj:
         raise EmptyHom("no homomorphisms to connect")
     return len(_graph.components(adj)) == 1
@@ -53,16 +56,12 @@ def diameter(g: Digraph, h: Digraph) -> int:
     and max of all maps, differ).  Raises :class:`EmptyHom` with no maps
     and :class:`Disconnected` when some pair is unreachable.
     """
-    adj = _skeleton(_multihoms(g, h, max_dim=1), g.n, max(h.n, 1))[1]
+    adj = _skeleton(_multihoms(g, h, max_dim=0), g, h)
     if not adj:
         raise EmptyHom("no homomorphisms")
-    best = 0
-    for start in range(len(adj)):
-        dist = _graph.bfs_distances(adj, start)
-        if min(dist) < 0:
-            raise Disconnected("the hom complex is not connected")
-        best = max(best, max(dist))
-    return best
+    if len(_graph.components(adj)) > 1:
+        raise Disconnected("the hom complex is not connected")
+    return max(max(_graph.bfs_distances(adj, i)) for i in range(len(adj)))
 
 
 def meet_path(

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -21,13 +22,16 @@ from dihom import (
     Digraph,
     EmptyHom,
     HomSkeleton,
+    MultiHom,
     ParseError,
     SimplicialComplex,
     diameter,
     directed_cycle,
     directed_path,
+    has_homomorphism,
     hom_one_skeleton,
     homotopy_witness_pair,
+    is_multihom,
     meet_path,
     out_neighborhood_complex,
     sphere_tournament,
@@ -349,7 +353,7 @@ class TestRunReconfig:
     @example(Digraph(2, [(0, 1), (1, 1)]), 4, 1)
     @example(directed_cycle(3), 5, 2)
     def test_closed_form_matches_the_skeleton(self, g, n, seed):
-        # The CLI reads its answer off the cells; the one-skeleton with a
+        # The CLI reads its answer off the maps; the one-skeleton with a
         # BFS from every map is the oracle, quadratic in the map count.
         t = transitive_tournament(n)
         sk = hom_one_skeleton(g, t)
@@ -394,11 +398,37 @@ class TestRunReconfig:
             raise AssertionError("skeleton route taken")
 
         for module in (dihom.homcomplex, dihom.reconfig, dihom.cli):
-            monkeypatch.setattr(module, "hom_one_skeleton", fail, raising=False)
+            for name in ("hom_one_skeleton", "_skeleton"):
+                monkeypatch.setattr(module, name, fail, raising=False)
         monkeypatch.setattr(HomSkeleton, "bfs_distances", fail)
         out = run_json(capsys, "reconfig", graph_file(diamond()), "6")
         assert out["homomorphisms"] == 50
-        assert len(calls) == 1 and calls[0]["max_dim"] == 1
+        assert out["edges"] == 150
+        assert calls == [{"max_dim": 0, "limit": DEFAULT_CAP + 1}]
+
+    @settings(max_examples=40, deadline=None)
+    @given(shuffled_dags, st.integers(3, 5))
+    @example(diamond(), 5)
+    def test_edges_are_the_one_cells(self, g, n):
+        # Brute force: every mask tuple with one block of two values and
+        # single values elsewhere that is a multihomomorphism.
+        t = transitive_tournament(n)
+        singles = [1 << a for a in range(n)]
+        pairs = [1 << a | 1 << b for a, b in itertools.combinations(range(n), 2)]
+        blocks = [[pairs if u == v else singles for u in range(g.n)] for v in range(g.n)]
+        one_cells = sum(
+            is_multihom(MultiHom._from_masks(masks), g, t)
+            for choice in blocks
+            for masks in itertools.product(*choice)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "g.json")
+            path.write_text(emit_digraph(g), encoding="utf-8")
+            code, out = run_capture("reconfig", str(path), str(n))
+        if code:
+            assert not has_homomorphism(g, t)
+        else:
+            assert out["edges"] == one_cells
 
     def test_diamond_into_a_large_tournament(self, capsys, graph_file):
         # A BFS from every map took more than a minute here.
@@ -443,8 +473,9 @@ class TestRunHomotopy:
         assert run(["homotopy", src, dst, "zero,one", "3,2"]) == 1
 
     def test_homomorphisms_are_enumerated_once(self, capsys, graph_file, monkeypatch):
-        # Every hom search goes through _multihoms; hom_one_skeleton asks it
-        # for 1-cells, so a single 0-cell search also rules the skeleton out.
+        # Every hom search goes through _multihoms, and hom_one_skeleton
+        # makes a search of its own, so a single 0-cell search also rules
+        # the skeleton out.
         calls = []
         for module in (dihom.digraph, dihom.homcomplex, dihom.homotopy):
             original = module._multihoms

@@ -35,11 +35,12 @@ from dihom import (
     line_digraph,
     mycielskian,
     product,
+    quotient,
     sphere_tournament,
     transitive_tournament,
 )
 from dihom.cli import run
-from dihom.constructions import _least_orderings
+from dihom.constructions import _INTERVALS, _least_orderings
 from dihom.digraph import _bits
 from conftest import random_digraph, random_tournament, relabel
 
@@ -160,6 +161,31 @@ class TestMycielskian:
         # one apex dominates the base, the other is dominated by it
         assert m.out_neighbors(3) == {0, 1, 2}
         assert m.in_neighbors(4) == {0, 1, 2}
+
+    @pytest.mark.parametrize("variant", [1, 2, 3])
+    def test_matches_the_quotient_of_the_product(self, variant, rng):
+        # The oracle forms the product with the interval, vertex (v, layer)
+        # at 3 * v + layer, and collapses its layers.
+        for _ in range(20):
+            g = random_digraph(rng, rng.randint(1, 6))
+            n = g.n
+            layer = [[3 * v + k] for k in range(3) for v in range(n)]
+            if variant in (1, 2):
+                classes = layer[: 2 * n] + [[3 * v + 2 for v in range(n)]]
+            else:
+                classes = layer[n : 2 * n] + [[3 * v + k for v in range(n)] for k in (0, 2)]
+            expected = quotient(product(g, _INTERVALS[variant]), classes)
+            assert mycielskian(g, variant) == expected
+
+    def test_size_limit_applies_to_the_result(self):
+        # The result, not the 3n-vertex product, must fit in 64 vertices.
+        for variant, n, size in [(1, 31, 63), (2, 31, 63), (3, 62, 64)]:
+            m = mycielskian(directed_path(n), variant)
+            assert m.n == size
+            assert induced_subgraph(m, range(n)) == directed_path(n)
+        for variant, n in [(1, 32), (2, 32), (3, 63)]:
+            with pytest.raises(SizeCapExceeded, match="got 65$"):
+                mycielskian(directed_path(n), variant)
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidVariant):

@@ -33,7 +33,8 @@ from dihom import (
     transitive_tournament,
     underlying_symmetrization,
 )
-from dihom.digraph import _arrows, _bits, _faces, _multihoms, _unpack
+from dihom.digraph import _arrows, _bits, _faces, _multihoms, _pack, _unpack
+from dihom.homcomplex import _skeleton
 from conftest import (
     back_pointing,
     brute_force_cells,
@@ -318,11 +319,10 @@ class TestMultihomSearch:
     @back_pointing
     @full_size
     def test_cells_match_brute_force(self, g, h):
+        # The search's two modes: every cell, or the 0-cells alone.  These
+        # come out in lexicographic order already.
         every = brute_force_cells(g, h)
-        for max_dim in (0, 1, 2, None):
-            expected = [c for c in every if max_dim is None or dimension(c) <= max_dim]
-            assert search(g, h, max_dim=max_dim) == expected
-        # The 0-cells come out in lexicographic order already.
+        assert search(g, h) == every
         homs = [c for c in every if dimension(c) == 0]
         assert search(g, h, max_dim=0) == homs
         assert has_homomorphism(g, h) == bool(homs)
@@ -332,12 +332,32 @@ class TestMultihomSearch:
     @edge_cases
     @back_pointing
     @full_size
+    def test_skeleton_matches_brute_force(self, g, h):
+        # The one-skeleton read off the 0-cells alone against the one read
+        # off the 1-cells: each 1-cell joins its two faces.  Looped sources
+        # are covered, where maps that differ at one vertex may not be
+        # joined.
+        n, w = g.n, max(h.n, 1)
+        every = [_pack(c, n, w) for c in brute_force_cells(g, h)]
+        maps = [c for c in every if c.bit_count() == n]
+        index = {c: i for i, c in enumerate(maps)}
+        adj = [[] for _ in maps]
+        for a, b in _faces([c for c in every if c.bit_count() == n + 1], n, w):
+            adj[index[a]].append(index[b])
+            adj[index[b]].append(index[a])
+        assert _skeleton(maps, g, h) == [sorted(js) for js in adj]
+
+    @settings(max_examples=80, deadline=None)
+    @given(sources, small_digraphs)
+    @edge_cases
+    @back_pointing
+    @full_size
     def test_limit_stops_early(self, g, h):
         # ``limit`` bounds the count, not the prefix: the cells found come
         # back ascending, and all of them once there are at most ``limit``.
-        # Unbounded, the last vertex's sets go straight into the cells;
-        # with ``max_dim`` every vertex makes a call, so both paths are checked.
-        for max_dim in (0, 1, None):
+        # In both modes the last vertex's sets go straight into the cells
+        # and every other vertex makes a call, so both modes are checked.
+        for max_dim in (0, None):
             cells = _multihoms(g, h, max_dim=max_dim)
             for limit in {1, 2, len(cells) // 2 + 1, len(cells), len(cells) + 1}:
                 found = _multihoms(g, h, max_dim=max_dim, limit=limit)
@@ -348,10 +368,10 @@ class TestMultihomSearch:
                     assert found == cells
 
     def test_limit_stops_a_huge_search_at_once(self):
-        # 2**40 - 1 cells unbounded, and 2080 sets of at most two values for
-        # the one vertex into 64: the first five found come back.
+        # 2**40 - 1 cells unbounded, and 64 single values for the one
+        # vertex into 64: the first five found come back.
         assert _multihoms(Digraph(1), Digraph(40), limit=5) == [1, 2, 3, 4, 5]
-        cells = _multihoms(Digraph(1), Digraph(64), max_dim=1, limit=5)
+        cells = _multihoms(Digraph(1), Digraph(64), max_dim=0, limit=5)
         assert cells == [1, 2, 4, 8, 16]
 
     @settings(max_examples=80, deadline=None)

@@ -254,6 +254,14 @@ class TestHomPoset:
             HomPoset(Digraph(1), Digraph(2), [MultiHom([{0, 1}])])
         closed = [MultiHom([{0}]), MultiHom([{1}]), MultiHom([{0, 1}])]
         assert len(HomPoset(Digraph(1), Digraph(2), closed)) == 3
+        # closed, but the 1-cell joining its two maps is missing: the
+        # components are read off the 0-cells, which would join them
+        with pytest.raises(ShapeMismatch):
+            HomPoset(Digraph(1), Digraph(2), closed[:2])
+        # a looped source vertex whose two values are not joined both
+        # ways: the two maps are no edge, so none is missing
+        p = HomPoset(Digraph(1, [(0, 0)]), Digraph(2, [(0, 0), (1, 1)]), closed[:2])
+        assert len(p.components()) == 2
 
     @settings(max_examples=80, deadline=None)
     @given(digraphs(3), digraphs(4))
@@ -457,9 +465,9 @@ class TestOneSkeleton:
             assert diameter(g, h) == max(map(max, dist))
 
     def test_only_pairs_are_formed_in_a_large_target(self):
-        # Every two of the 64 values form a 1-cell.  A search that walked
-        # all 2**64 subsets of the target at the source vertex would never
-        # get here.
+        # Every two of the 64 values form a 1-cell.  The skeleton is read
+        # off the 64 maps; a search that walked all 2**64 subsets of the
+        # target at the source vertex would never get here.
         sk = hom_one_skeleton(Digraph(1), transitive_tournament(64))
         assert len(sk) == 64
         assert sk.edges == set(itertools.combinations(range(64), 2))
