@@ -10,11 +10,23 @@ cell on the face poset of a complex certifies collapsibility.
 Besides the generic checker this module provides the explicit matching
 that collapses homomorphism posets into transitive tournaments, and one
 collapsing engine for simplicial complexes that works on face masks.
+
+The collapse of ``Hom(G, T_n)`` for a DAG ``G`` runs in stages, one per
+vertex ``a_k`` of ``G`` in peel order, each with a value ``t_k``
+(:func:`_stages`).  A cell's stage is the first ``k`` at which its set at
+``a_k`` is not ``{t_k}``, and stage ``k`` pairs cells by adding or
+removing ``t_k`` at ``a_k``: an *element matching* (Jonsson 2008).  The
+checker certifies such a matching in one pass over its pairs.  The stage
+never rises from a cell to its faces, and an element matching has no
+V-path, so by the Patchwork theorem (Kozlov 2008, Thm 11.10) the union of
+the stages is acyclic.  A matching that fails this test gets the V-path
+search, which decides every case.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import chain
 from operator import and_, eq
 from typing import Hashable, Iterable, Sequence
@@ -131,10 +143,26 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     the pair-by-pair scan run, to name the first failing pair.  A
     plain :class:`Poset` need not be graded, so it gets the full modified
     Hasse diagram.
+
+    A packed matching that passes in bulk on the hom poset of a DAG into
+    ``T_n`` is first tested against the stages of the tournament collapse
+    (:func:`_in_stages`), which reads only ``p.source`` and ``p.target``.
+    Say a cell is at stage ``k`` when its set at ``a_k`` is the first
+    that differs from ``{t_k}``.  When every pair adds ``t_k`` at ``a_k``
+    for the stage ``k`` of its cells, the matching is acyclic: a face is
+    at the same or a later stage than its cell, so a V-path never returns
+    to an earlier stage, and within a stage every pair toggles the one
+    element ``(a_k, t_k)`` (an element matching, Jonsson 2008), so the
+    face that a V-path steps down to keeps that element and is no lower
+    cell of the stage.  That is the Patchwork theorem (Kozlov 2008,
+    Thm 11.10) for the stage map.  The test never rejects: a matching
+    that fails it gets the V-path search unchanged.
     """
     if m._poset is p:
         lowers, uppers, critical = m._packed
         if _is_packed_partition(p._packed, lowers, uppers, critical):
+            if _in_stages(p, lowers, uppers):
+                return True
             arrows = _v_path_arrows(lowers, uppers, p.source.n, p._width)
             return _graph.topological_order(arrows) is not None
         locate = p._position
@@ -275,6 +303,65 @@ def _peel_levels(g: Digraph) -> list[int] | None:
     return _graph.levels([list(_bits(m)) for m in g._out])
 
 
+def _stages(g: Digraph, n: int) -> list[tuple[int, int]]:
+    """The stages of the collapse of the hom poset of ``(g, T_n)``: the
+    vertices of ``g`` in peel order, sinks first and by label within a
+    level, each with the bit of its value ``n - 1 - level``.
+
+    Raises :class:`NotAcyclic` for non-DAGs and :class:`EmptyHom` when
+    ``g`` peels into more than ``n`` levels.
+    """
+    level = _peel_levels(g)
+    if level is None:
+        raise NotAcyclic("digraph has a directed cycle")
+    if g.n and max(level) >= n:
+        raise EmptyHom(
+            f"no homomorphism: longest directed path has {max(level) + 1} vertices"
+        )
+    # The sort is stable, so vertices keep their label order within a level.
+    order = sorted(range(g.n), key=level.__getitem__)
+    return [(a, 1 << n - 1 - level[a]) for a in order]
+
+
+def _in_stages(p: HomPoset, lowers: list[int], uppers: list[int]) -> bool:
+    """Whether each pair ``lowers[k] < uppers[k]`` of ``p``, a cover with
+    every cell used once (:func:`_is_packed_partition`), toggles the
+    element of its upper cell's stage; then the matching is acyclic.
+
+    Only a hom poset into a transitive tournament ``T_n`` from a source
+    that peels within ``n`` levels has stages (a_k, t_k) (:func:`_stages`).
+    A cell's stage is the first ``k`` at which its block at ``a_k`` is not
+    ``{t_k}``.  A pair passes when its upper cell less its lower cell is
+    the element ``t_k`` of block ``a_k`` and the upper cell's blocks at
+    ``a_0 .. a_(k-1)`` are ``{t_0} .. {t_(k-1)}``.  The lower cell's block
+    at ``a_k`` is then not empty, as no cell's is, so both cells of the
+    pair are at stage ``k``.
+    """
+    t = p.target
+    if not t.n or t != transitive_tournament(t.n):
+        return False
+    try:
+        stages = _stages(p.source, t.n)
+    except (NotAcyclic, EmptyHom):
+        return False
+    full = (1 << p._width) - 1
+    offsets = _shifts(p.source.n, p._width)
+    # Each stage's element, with the blocks of the stages before it and
+    # their values.
+    before: dict[int, tuple[int, int]] = {}
+    blocks = values = 0
+    for a, bit in stages:
+        element = bit << offsets[a]
+        before[element] = (blocks, values)
+        blocks |= full << offsets[a]
+        values |= element
+    for lower, upper in zip(lowers, uppers):
+        prior = before.get(upper ^ lower)
+        if prior is None or upper & prior[0] != prior[1]:
+            return False
+    return True
+
+
 def tournament_matching(
     g: Digraph,
     n: int,
@@ -289,8 +376,10 @@ def tournament_matching(
     previously frozen sinks, those containing the value at the current sink
     are matched with the cells obtained by removing it.  The single
     unmatched cell is the homomorphism sending each vertex to its level
-    value.  The matching keeps the packed cells of the poset and builds
-    its :class:`MultiHom` views only when they are read.
+    value.  The stages come from :func:`_stages`, which
+    :func:`is_acyclic_matching` reads too.  The matching keeps the packed
+    cells of the poset and builds its :class:`MultiHom` views only when
+    they are read.
 
     Raises :class:`NotAcyclic` for non-DAGs, :class:`EmptyHom` when
     there is no homomorphism (a directed path on more than ``n`` vertices)
@@ -300,13 +389,7 @@ def tournament_matching(
     search, so the first two errors come at once.
     """
     t = transitive_tournament(n)
-    level = _peel_levels(g)
-    if level is None:
-        raise NotAcyclic("digraph has a directed cycle")
-    if g.n and max(level) >= n:
-        raise EmptyHom(
-            f"no homomorphism: longest directed path has {max(level) + 1} vertices"
-        )
+    stages = _stages(g, n)
     if poset is None:
         poset = hom_poset(g, t, cap)
     elif poset.source != g or poset.target != t:
@@ -318,9 +401,7 @@ def tournament_matching(
     uppers: list[int] = []
     lowers: list[int] = []
     live = poset._packed
-    # Sinks first, by label within a level (the sort is stable).
-    for a in sorted(range(g.n), key=level.__getitem__):
-        bit = 1 << n - 1 - level[a]
+    for a, bit in stages:
         offset = offsets[a]
         survivors = []
         for c in live:
@@ -347,43 +428,50 @@ def tournament_matching(
 # through ``SimplicialComplex._mask``.  The facets are the masks equal to
 # their total, since a facet lies in no other facet.  A face is free when
 # it is nonempty and lies in exactly one facet other than itself, and
-# that facet is then its total.
+# that facet is then its total.  The set ``free`` of free faces is kept
+# up to date as each face's entry changes, so no step rescans the dict.
 _Faces = dict[int, tuple[int, int]]
 
 
-def _shift(faces: _Faces, f: int, step: int) -> None:
+def _shift(faces: _Faces, free: set[int], f: int, step: int) -> None:
     """Add (``step=1``) or remove (``step=-1``) the facet ``f``."""
     sub = f
     while True:
         k, total = faces.get(sub, (0, 0))
-        if k + step:
-            faces[sub] = (k + step, total + step * f)
+        k += step
+        total += step * f
+        if k:
+            faces[sub] = (k, total)
         else:
             del faces[sub]
+        # A face now over three or more facets was over two or more
+        # before, so it was not free and stays out of ``free``.
+        if k == 1 and sub and sub != total:
+            free.add(sub)
+        elif k <= 2:
+            free.discard(sub)
         if not sub:
             return
         sub = (sub - 1) & f
 
 
-def _face_dict(x: SimplicialComplex) -> _Faces:
+def _face_dict(x: SimplicialComplex) -> tuple[_Faces, set[int]]:
+    """The face dict of ``x`` and its free faces."""
     faces: _Faces = {}
+    free: set[int] = set()
     for t in x._tops:
-        _shift(faces, t, 1)
-    return faces
+        _shift(faces, free, t, 1)
+    return faces, free
 
 
-def _free(faces: _Faces) -> list[int]:
-    return [m for m, (k, total) in faces.items() if k == 1 and m and m != total]
-
-
-def _collapse(faces: _Faces, tau: int, sigma: int) -> None:
+def _collapse(faces: _Faces, free: set[int], tau: int, sigma: int) -> None:
     """Remove the interval ``[tau, sigma]``; re-expose the rest of the
     boundary of ``sigma`` as new facets where needed."""
-    _shift(faces, sigma, -1)
+    _shift(faces, free, sigma, -1)
     for t in _bits(tau):
         delta = sigma & ~(1 << t)
         if delta not in faces:
-            _shift(faces, delta, 1)
+            _shift(faces, free, delta, 1)
 
 
 def _complex(x: SimplicialComplex, faces: _Faces) -> SimplicialComplex:
@@ -426,18 +514,19 @@ def collapse_free_pairs(
     if strategy not in ("lex", "random"):
         raise InvalidVariant(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
-    faces = _face_dict(x)
+    faces, free = _face_dict(x)
+    key = cache(_positions)  # each face's key is built once per run
     log: list[tuple[frozenset, frozenset]] = []
-    while free := _free(faces):
+    while free:
         if strategy == "lex":
             tau = min(
                 free,
-                key=lambda m: (m.bit_count(), faces[m][1].bit_count(), _positions(m)),
+                key=lambda m: (m.bit_count(), faces[m][1].bit_count(), key(m)),
             )
         else:
-            tau = rng.choice(sorted(free, key=_positions))
+            tau = rng.choice(sorted(free, key=key))
         sigma = faces[tau][1]
-        _collapse(faces, tau, sigma)
+        _collapse(faces, free, tau, sigma)
         log.append((x._face(tau), x._face(sigma)))
     return CollapseResult(_complex(x, faces), tuple(log))
 
@@ -446,15 +535,15 @@ def replay_collapses(
     x: SimplicialComplex, log: Iterable[tuple[frozenset, frozenset]]
 ) -> SimplicialComplex:
     """Re-apply a collapse log, verifying every step is a free pair."""
-    faces = _face_dict(x)
+    faces, free = _face_dict(x)
     for step, (tau, sigma) in enumerate(log):
         m = x._mask(tau)
-        k, total = faces.get(m, (0, 0))
-        if k != 1 or not m or m == total:
+        if m not in free:
             raise ValueError(f"step {step}: {set(tau)} is not a free face")
+        total = faces[m][1]
         if x._face(total) != sigma:
             raise ValueError(f"step {step}: {set(sigma)} is not the facet over the face")
-        _collapse(faces, m, total)
+        _collapse(faces, free, m, total)
     return _complex(x, faces)
 
 
@@ -469,18 +558,18 @@ def random_discrete_morse(x: SimplicialComplex, seed: int) -> tuple[int, ...]:
     """
     rng = random.Random(seed)
     counts = [0] * (x.dimension() + 1)
-    faces = _face_dict(x)
+    faces, free = _face_dict(x)
+    key = cache(_positions)  # each face's key is built once per run
     # Left with at most the empty face, the complex is void or empty.
     while len(faces) > 1:
-        free = _free(faces)
         if free:
-            tau = rng.choice(sorted(free, key=_positions))
-            _collapse(faces, tau, faces[tau][1])
+            tau = rng.choice(sorted(free, key=key))
+            _collapse(faces, free, tau, faces[tau][1])
             continue
         facets = [m for m, (_, total) in faces.items() if m == total]
         size = max(m.bit_count() for m in facets)
-        tops = sorted((m for m in facets if m.bit_count() == size), key=_positions)
+        tops = sorted((m for m in facets if m.bit_count() == size), key=key)
         sigma = rng.choice(tops)
         counts[size - 1] += 1
-        _collapse(faces, sigma, sigma)  # just the facet; its boundary stays
+        _collapse(faces, free, sigma, sigma)  # just the facet; its boundary stays
     return tuple(counts)

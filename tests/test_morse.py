@@ -1,5 +1,6 @@
 """Tests for acyclic matchings, collapsing engines, and Morse vectors."""
 
+import json
 import random
 from itertools import chain
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dihom.morse
 from dihom import (
     Digraph,
     EmptyHom,
@@ -37,8 +39,10 @@ from dihom import (
     transitive_tournament,
     void_complex,
 )
+from dihom import _graph
+from dihom.cli import emit_digraph, run
 from dihom.digraph import _faces, _pack, _shifts
-from dihom.morse import _v_path_arrows
+from dihom.morse import _in_stages, _is_packed_partition, _peel_levels, _v_path_arrows
 
 from conftest import complexes, digraphs, edge_cases
 
@@ -460,6 +464,172 @@ class TestMatchingCheckOracle:
         m = Matching(pairs, [MultiHom([{0, 1, 2}])])
         assert _oracle(p, m) is False
         _check_against_oracle(p, m)
+
+
+def _walk_verdict(p, lowers, uppers):
+    """The V-path walk's verdict on a packed matching of ``p``."""
+    arrows = _v_path_arrows(lowers, uppers, p.source.n, p._width)
+    return _graph.topological_order(arrows) is not None
+
+
+def _swapped_lowers(p, lowers, uppers, critical, rnd):
+    """``lowers[k] < uppers[k]`` with the lower cell of one pair traded
+    for another lower or critical cell that is also a face of its upper
+    cell, the old one taking that cell's place; ``None`` when no pair has
+    such a second face."""
+    n, w = p.source.n, p._width
+    pair_of = {f: k for k, f in enumerate(lowers)}
+    spare = set(critical)
+    order = list(range(len(uppers)))
+    rnd.shuffle(order)
+    for k in order:
+        own = lowers[k]
+        for f in next(_faces([uppers[k]], n, w)):
+            if f == own:
+                continue
+            lows, crit = list(lowers), list(critical)
+            if f in spare:
+                crit[crit.index(f)] = own
+            elif f in pair_of and own & uppers[pair_of[f]] == own:
+                lows[pair_of[f]] = own
+            else:
+                continue
+            lows[k] = f
+            return lows, list(uppers), crit
+    return None
+
+
+def _stage_candidates(p, m, rnd):
+    """Packed matchings of ``p`` around the tournament matching ``m``: ``m``
+    itself and a sub-matching (both must pass the stage check), a greedy
+    matching and matchings with swapped lower cells (either way)."""
+    lowers, uppers, critical = m._packed
+    pairs = list(zip(lowers, uppers))
+    keep = [rnd.random() < 0.7 for _ in pairs]
+    kept = [pair for pair, k in zip(pairs, keep) if k]
+    dropped = [c for pair, k in zip(pairs, keep) if not k for c in pair]
+    sub = ([a for a, _ in kept], [b for _, b in kept], critical + dropped)
+    must_pass = [(lowers, uppers, critical), sub]
+    others = [_packed_cells(p, _greedy_matching(p, rnd))]
+    others += [_swapped_lowers(p, *packed, rnd) for packed in must_pass]
+    return must_pass, [packed for packed in others if packed is not None]
+
+
+class TestStageCheck:
+    """The stage check of a packed matching on the hom poset of a DAG into
+    ``T_n`` only ever says acyclic; every matching it does not pass gets
+    the V-path walk and the walk's verdict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags, st.integers(2, 4), st.integers(0, 2**32))
+    @example(Digraph(2), 2, 0)
+    @example(Digraph(3, [(0, 1), (1, 2)]), 3, 1)
+    @example(Digraph(3, [(0, 2)]), 3, 2)
+    def test_acceptance_implies_acyclic(self, g, n, seed):
+        p = hom_poset(g, transitive_tournament(n))
+        if not len(p) or len(p) > 150:
+            return
+        rnd = random.Random(seed)
+        m = tournament_matching(g, n, poset=p)
+        must_pass, others = _stage_candidates(p, m, rnd)
+        for packed in must_pass:
+            assert _is_packed_partition(p._packed, *packed)
+            assert _in_stages(p, *packed[:2])
+        for packed in must_pass + others:
+            m = Matching._from_packed(p, *packed)
+            if _is_packed_partition(p._packed, *packed) and _in_stages(p, *packed[:2]):
+                assert _walk_verdict(p, *packed[:2]) is True
+                assert _oracle(p, m) is True
+            assert _verdict(p, m) == _verdict(p, Matching(m.pairs, m.critical))
+            _check_against_oracle(p, m)
+
+    @staticmethod
+    def _walks(monkeypatch):
+        """Count the V-path walks that ``is_acyclic_matching`` runs."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _v_path_arrows(*args)
+
+        monkeypatch.setattr(dihom.morse, "_v_path_arrows", counted)
+        return calls
+
+    def _check_walked(self, monkeypatch, p, packed, expected):
+        assert _is_packed_partition(p._packed, *packed)
+        assert not _in_stages(p, *packed[:2])
+        m = Matching._from_packed(p, *packed)
+        walks = self._walks(monkeypatch)
+        assert is_acyclic_matching(p, m) is expected
+        assert len(walks) == 1
+        assert _oracle(p, m) is expected
+        assert _walk_verdict(p, *packed[:2]) is expected
+
+    def test_swapped_pair_reaches_the_walk(self, monkeypatch):
+        p = hom_poset(Digraph(2), transitive_tournament(3))
+        lowers, uppers, critical = tournament_matching(Digraph(2), 3, poset=p)._packed
+        swapped = _swapped_lowers(p, lowers, uppers, critical, random.Random(0))
+        assert swapped is not None and swapped[0] != lowers
+        expected = _oracle(p, Matching._from_packed(p, *swapped))
+        self._check_walked(monkeypatch, p, swapped, expected)
+
+    def test_wrong_stage_element_reaches_the_walk(self, monkeypatch):
+        # Into T_2 both isolated vertices have stage value 1, vertex 0
+        # first.  Matching vertex 1's element first is also acyclic, but
+        # its pairs at cells whose set at vertex 0 is {0} or {0, 1}
+        # toggle the element of the wrong stage.
+        p = hom_poset(Digraph(2), transitive_tournament(2))
+        one, both = 0b10, 0b11
+        lowers = [x << 2 | 0b01 for x in (0b01, one, both)] + [0b01 << 2 | one]
+        uppers = [x << 2 | both for x in (0b01, one, both)] + [both << 2 | one]
+        self._check_walked(monkeypatch, p, (lowers, uppers, [one << 2 | one]), True)
+
+    def test_cyclic_partition_reaches_the_walk(self, monkeypatch):
+        # The rotating matching of the triangle: a closed V-path through
+        # three covers that pass the bulk partition test.
+        p = hom_poset(Digraph(1), transitive_tournament(3))
+        lowers = [1 << i for i in range(3)]
+        uppers = [1 << i | 1 << (i + 1) % 3 for i in range(3)]
+        self._check_walked(monkeypatch, p, (lowers, uppers, [0b111]), False)
+
+    def test_other_targets_go_straight_to_the_walk(self, monkeypatch):
+        # Vertex 0 of a one-vertex source has stage value 2 into T_3.
+        # Matching by that element passes the stage check there; into the
+        # edgeless target on three vertices, with the same cells, the
+        # walk decides.
+        lowers = [0b001, 0b010, 0b011]
+        uppers = [0b101, 0b110, 0b111]
+        tournament = hom_poset(Digraph(1), transitive_tournament(3))
+        assert _in_stages(tournament, lowers, uppers)
+        p = hom_poset(Digraph(1), Digraph(3))
+        assert p._packed == tournament._packed
+        self._check_walked(monkeypatch, p, (lowers, uppers, [0b100]), True)
+
+    def test_dihom_morse_never_walks(self, monkeypatch, tmp_path, capsys):
+        def fail(*args):
+            raise AssertionError("V-path walk ran")
+
+        monkeypatch.setattr(dihom.morse, "_v_path_arrows", fail)
+        sources = [
+            Digraph(0),
+            Digraph(3),
+            Digraph(3, [(0, 1)]),
+            directed_path(3),
+            Digraph(3, [(0, 2), (1, 2)]),
+            Digraph(3, [(2, 0), (2, 1), (0, 1)]),
+            Digraph(4, [(0, 1), (2, 3)]),
+            Digraph(5, [(1, 4), (4, 2), (4, 3)]),
+        ]
+        for k, g in enumerate(sources):
+            path = tmp_path / f"g{k}.json"
+            path.write_text(emit_digraph(g), encoding="utf-8")
+            for n in range(1, 5):
+                code = run(["morse", str(path), str(n)])
+                out = capsys.readouterr().out
+                if code == 0:
+                    assert json.loads(out)["acyclic"] is True
+                else:
+                    assert n <= max(_peel_levels(g), default=0)
 
 
 class TestCollapseFreePairs:
