@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -38,12 +39,25 @@ from .constructions import (
     sphere_tournament,
     transitive_tournament,
 )
-from .digraph import DEFAULT_CAP, Digraph, VertexMap, _decode_maps, _multihoms
-from .errors import DihomError, EmptyHom, ParseError, SizeCapExceeded
-from .homcomplex import hom_poset
-from .homology import HomologyGroups, homology_of_poset, is_n_leray, reduced_homology
+from .digraph import (
+    DEFAULT_CAP,
+    Digraph,
+    VertexMap,
+    _decode_maps,
+    _multihoms,
+    _split,
+)
+from .errors import DihomError, EmptyHom, NotAcyclic, ParseError, SizeCapExceeded
+from .homcomplex import _factor_posets
+from .homology import (
+    HomologyGroups,
+    _kunneth,
+    homology_of_poset,
+    is_n_leray,
+    reduced_homology,
+)
 from .homotopy import _fold_to_stiff, _HomRelations, _is_looped_point
-from .morse import _peel_levels, is_acyclic_matching, tournament_matching
+from .morse import _stages, is_acyclic_matching, tournament_matching
 from .reconfig import meet_path
 
 # Posets larger than this skip the homology computation in `hom` output.
@@ -211,19 +225,30 @@ def _scalar(value: Any) -> str:
 def _cmd_hom(ns: argparse.Namespace) -> Any:
     g = _load_graph(ns.source)
     h = _load_graph(ns.target)
-    p = hom_poset(g, h, ns.cap)
+    # A source of two or more weak components has the product of their
+    # hom posets, so only the factors are built.
+    posets = _factor_posets(_split(g), h, ns.cap)
+    # A product cell's dimension is the sum of its factors' dimensions.
+    census = posets[0].dimension_census()
+    for p in posets[1:]:
+        product: Counter[int] = Counter()
+        for d, k in census.items():
+            for e, m in p.dimension_census().items():
+                product[d + e] += k * m
+        census = product
+    cells = math.prod(map(len, posets))
     # The 0-cells are the homomorphisms, and the Euler characteristic is
     # the alternating sum of the same census.
-    census = p.dimension_census()
     out: dict[str, Any] = {
-        "cells": len(p),
+        "cells": cells,
         "dimension_census": [[d, c] for d, c in sorted(census.items())],
         "euler_characteristic": sum((-1) ** d * c for d, c in census.items()),
         "homomorphisms": census.get(0, 0),
-        "connected": p.is_connected(),
+        "connected": all(p.is_connected() for p in posets),
     }
-    if 0 < len(p) <= _HOMOLOGY_CELL_LIMIT:
-        out["homology"] = _homology_json(homology_of_poset(p, ns.cap))
+    if 0 < cells <= _HOMOLOGY_CELL_LIMIT:
+        groups = [homology_of_poset(p, ns.cap) for p in posets]
+        out["homology"] = _homology_json(_kunneth(groups))
     else:
         out["homology"] = None
     return out
@@ -272,11 +297,14 @@ def _cmd_reconfig(ns: argparse.Namespace) -> Any:
     g = _load_graph(ns.graph)
     cap = max(ns.cap, 0)
     t = transitive_tournament(ns.n)
-    # A map into T_n exists exactly when the source is acyclic with peel
-    # levels below n, so a source without one fails before any search.
-    level = _peel_levels(g)
-    if level is None or (g.n and max(level) >= ns.n):
-        raise EmptyHom(f"no homomorphisms into the transitive tournament T_{ns.n}")
+    # A map into T_n exists exactly when the source has the stages of the
+    # collapse, so a source without one fails before any search.
+    try:
+        _stages(g, ns.n)
+    except (NotAcyclic, EmptyHom):
+        raise EmptyHom(
+            f"no homomorphisms into the transitive tournament T_{ns.n}"
+        ) from None
     maps = _multihoms(g, t, max_dim=0, limit=cap + 1)
     # The source is loopless, so two maps are joined exactly when they
     # differ at one vertex: per vertex block, C(m, 2) edges for each m maps
@@ -374,16 +402,33 @@ def _cmd_sphere(ns: argparse.Namespace) -> Any:
 
 def _cmd_morse(ns: argparse.Namespace) -> Any:
     g = _load_graph(ns.graph)
-    # The matching checks the source against T_n before it searches.
-    matching = tournament_matching(g, ns.n, ns.cap)
-    p = matching._poset
+    # The whole source is checked against T_n before any search, as
+    # tournament_matching does.
+    t = transitive_tournament(ns.n)
+    _stages(g, ns.n)
+    # A source of two or more weak components has the product of the
+    # factors' posets, and the product of their matchings: a cell is
+    # critical when all its factors are, and otherwise pairs by the first
+    # factor whose cell is matched.  That matching is acyclic when each
+    # factor's is (Patchwork theorem, Kozlov 2008, Thm 11.10).
+    parts = _split(g)
+    posets = _factor_posets(parts, t, ns.cap)
+    matchings = [
+        tournament_matching(f, ns.n, poset=p) for (_, f), p in zip(parts, posets)
+    ]
+    # Each factor has one critical cell, so the product has one, put back
+    # together in source vertex order.
+    critical: list[list[int]] = [[]] * g.n
+    for (vs, _), m in zip(parts, matchings):
+        (c,) = m.critical
+        for v, s in zip(vs, c.assignments):
+            critical[v] = sorted(s)
+    cells = math.prod(map(len, posets))
     return {
-        "cells": len(p),
-        "pairs": matching._sizes()[0],
-        "critical": [
-            [sorted(s) for s in c.assignments] for c in matching.critical
-        ],
-        "acyclic": is_acyclic_matching(p, matching),
+        "cells": cells,
+        "pairs": (cells - 1) // 2,
+        "critical": [critical],
+        "acyclic": all(is_acyclic_matching(m._poset, m) for m in matchings),
     }
 
 

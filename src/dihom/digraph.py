@@ -306,6 +306,20 @@ def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> Digraph:
     return Digraph(len(vs), edges)
 
 
+def _split(g: Digraph) -> list[tuple[list[int], Digraph]]:
+    """The weak components of ``g``, each as its sorted vertex list and the
+    subgraph it induces; ``g`` itself, whole, when it has fewer than two.
+
+    The hom complex of a disjoint union is the product of the factors'
+    complexes, ``Hom(G1 ⊔ G2, H) = Hom(G1, H) × Hom(G2, H)``, so answers
+    about it can be read off the factors.
+    """
+    comps = g.weak_components()
+    if len(comps) < 2:
+        return [(list(range(g.n)), g)]
+    return [(vs, induced_subgraph(g, vs)) for vs in map(sorted, comps)]
+
+
 def underlying_symmetrization(g: Digraph) -> Digraph:
     """Replace every edge by the pair of opposite edges."""
     edges = set(g.edges)

@@ -15,6 +15,7 @@ carries a doubled assignment are the edges of :func:`hom_one_skeleton`.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
@@ -315,6 +316,34 @@ def hom_poset(g: Digraph, h: Digraph, cap: int = DEFAULT_CAP) -> HomPoset:
     p = object.__new__(HomPoset)
     p._fill(g, h, cells)
     return p
+
+
+def _factor_posets(
+    parts: Sequence[tuple[list[int], Digraph]], h: Digraph, cap: int = DEFAULT_CAP
+) -> list[HomPoset]:
+    """The hom posets into ``h`` of the factor sources ``parts`` of a
+    disjoint union (:func:`digraph._split`), whose product is the union's
+    hom poset; for one part, the whole hom poset.
+
+    An empty factor makes the product empty, so it alone is returned, even
+    when another factor exceeds ``cap``.  Otherwise raises
+    :class:`SizeCapExceeded`, as :func:`hom_poset` does, when the product
+    has more than ``cap`` cells.
+    """
+    posets = []
+    over = False
+    for _, g in parts:
+        try:
+            p = hom_poset(g, h, cap)
+        except SizeCapExceeded:
+            over = True
+            continue
+        if not len(p):
+            return [p]
+        posets.append(p)
+    if over or math.prod(map(len, posets)) > max(cap, 0):
+        raise SizeCapExceeded(f"hom poset exceeds cap of {cap} cells")
+    return posets
 
 
 class HomSkeleton(_Frozen):

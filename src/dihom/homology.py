@@ -59,8 +59,9 @@ from .complexes import (
     _maximal,
     order_complex,
 )
-from .digraph import DEFAULT_CAP, _Frozen, _bits, _faces
-from .homcomplex import HomPoset
+from .digraph import DEFAULT_CAP, _Frozen, _bits, _faces, _split
+from .errors import SizeCapExceeded
+from .homcomplex import HomPoset, _factor_posets
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
@@ -151,8 +152,14 @@ def _snf_sparse(rows: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], int]:
         diagonal.append(abs(v))
         set_entry(pr, pc, 0)
 
-    # The elimination yields an equivalent diagonal matrix; sort it into a
-    # divisibility chain with gcd/lcm exchanges.
+    # The elimination yields an equivalent diagonal matrix.
+    return _divisibility_chain(diagonal), len(diagonal)
+
+
+def _divisibility_chain(diagonal: list[int]) -> tuple[int, ...]:
+    """The invariant factors ``d1 | d2 | ...`` of the diagonal matrix with
+    the positive entries ``diagonal`` (sorted in place), found by gcd/lcm
+    exchanges; units are kept, so the length is unchanged."""
     changed = True
     while changed:
         changed = False
@@ -163,7 +170,7 @@ def _snf_sparse(rows: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], int]:
                 g = math.gcd(a, b)
                 diagonal[i], diagonal[i + 1] = g, a * b // g
                 changed = True
-    return tuple(diagonal), len(diagonal)
+    return tuple(diagonal)
 
 
 class HomologyGroups(_Frozen):
@@ -335,6 +342,43 @@ def _homology(
     return HomologyGroups(out, torsion)
 
 
+def _kunneth(factors: Sequence[HomologyGroups]) -> HomologyGroups:
+    """Reduced homology of the product of complexes, none of them void,
+    with the reduced homologies ``factors``, by the Künneth formula over Z.
+
+    Each factor's homology is made unreduced, one more free class in
+    degree 0, and an empty factor, the one with a class in degree -1,
+    makes the product empty.  Unreduced,
+    ``H_n(X × Y) = ⊕_{i+j=n} H_i(X) ⊗ H_j(Y) ⊕ ⊕_{i+j=n-1} Tor(H_i(X), H_j(Y))``,
+    where ``Z ⊗ A = A``, ``Z/s ⊗ Z/t = Tor(Z/s, Z/t) = Z/gcd(s, t)`` and
+    Tor with a free group vanishes.  The torsion of each degree is put in
+    the divisibility chain that :func:`_snf_sparse` emits.  One factor is
+    its own product and is returned as it is.
+    """
+    if len(factors) == 1:
+        return factors[0]
+    ranks: dict[int, int] = {0: 1}  # a point, unreduced
+    torsion: dict[int, list[int]] = {}
+    for h in factors:
+        if h.rank(-1):
+            return HomologyGroups({-1: 1})
+        product_ranks: dict[int, int] = {}
+        product_torsion: dict[int, list[int]] = {}
+        for i in ranks.keys() | torsion.keys():
+            a, s = ranks.get(i, 0), torsion.get(i, [])
+            for j in {0, *h.degrees()}:
+                b, t = h.rank(j) + (j == 0), h.torsion(j)
+                tor = [math.gcd(x, y) for x in s for y in t]
+                product_ranks[i + j] = product_ranks.get(i + j, 0) + a * b
+                product_torsion.setdefault(i + j, []).extend(s * b + [*t] * a + tor)
+                product_torsion.setdefault(i + j + 1, []).extend(tor)
+        ranks, torsion = product_ranks, product_torsion
+    ranks[0] -= 1
+    return HomologyGroups(
+        ranks, {d: _divisibility_chain(t) for d, t in torsion.items() if t}
+    )
+
+
 def _coreduced_chains(
     cells: Sequence[int], n: int, w: int
 ) -> tuple[dict[int, int], dict[int, dict[int, dict[int, int]]]]:
@@ -457,12 +501,26 @@ def homology_of_poset(p: Poset | HomPoset, cap: int = DEFAULT_CAP) -> HomologyGr
     the hom complex's own cellular chains (one cell per multihomomorphism,
     a product of simplices) after coreductions, and no order complex is
     built.  ``cap`` then plays no part, since :func:`hom_poset` already
-    bounded the cells.  A plain :class:`Poset` goes through
+    bounded the cells.  When the source has two or more weak components
+    and the poset holds every cell of the product of their hom posets, the
+    homology is that of each factor combined by :func:`_kunneth`, so the
+    product's cells are never listed.  A plain :class:`Poset` goes through
     :func:`order_complex`, which raises :class:`SizeCapExceeded` beyond
     ``cap`` chains.
     """
     if isinstance(p, Poset):
         return reduced_homology(order_complex(p, cap))
+    parts = _split(p.source)
+    if len(parts) > 1 and len(p):
+        # A poset built from cells may hold only some of the product's
+        # cells.  It holds them all exactly when the product has no more
+        # cells than it, so its size is the cap on the product.
+        try:
+            factors = _factor_posets(parts, p.target, len(p))
+        except SizeCapExceeded:
+            pass
+        else:
+            return _kunneth([homology_of_poset(f) for f in factors])
     return _homology(*_coreduced_chains(p._packed, p.source.n, p._width))
 
 

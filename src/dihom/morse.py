@@ -425,15 +425,15 @@ def tournament_matching(
 # ``vertices[i]``), the empty face included: ``k`` live facets lie over
 # the face and their masks sum to ``total``.  It starts from the facet
 # masks the complex keeps (``_tops``); a logged face becomes a mask
-# through ``SimplicialComplex._mask``.  The facets are the masks equal to
-# their total, since a facet lies in no other facet.  A face is free when
-# it is nonempty and lies in exactly one facet other than itself, and
-# that facet is then its total.  The set ``free`` of free faces is kept
-# up to date as each face's entry changes, so no step rescans the dict.
+# through ``SimplicialComplex._mask``.  A face over exactly one facet is
+# that facet when it equals its total, since a facet lies in no other
+# facet; otherwise it is free when nonempty, and the facet is its total.
+# The sets ``free`` of free faces and ``facets`` of facets are kept up to
+# date as each face's entry changes, so no step rescans the dict.
 _Faces = dict[int, tuple[int, int]]
 
 
-def _shift(faces: _Faces, free: set[int], f: int, step: int) -> None:
+def _shift(faces: _Faces, free: set[int], facets: set[int], f: int, step: int) -> None:
     """Add (``step=1``) or remove (``step=-1``) the facet ``f``."""
     sub = f
     while True:
@@ -444,40 +444,46 @@ def _shift(faces: _Faces, free: set[int], f: int, step: int) -> None:
             faces[sub] = (k, total)
         else:
             del faces[sub]
-        # A face now over three or more facets was over two or more
-        # before, so it was not free and stays out of ``free``.
-        if k == 1 and sub and sub != total:
-            free.add(sub)
+        # Each step moves a count by one, so a face now over one facet was
+        # over none or two, and one now over three or more was over two or
+        # more: neither was a facet or free before.
+        if k == 1:
+            if sub == total:
+                facets.add(sub)
+            elif sub:
+                free.add(sub)
         elif k <= 2:
             free.discard(sub)
+            facets.discard(sub)
         if not sub:
             return
         sub = (sub - 1) & f
 
 
-def _face_dict(x: SimplicialComplex) -> tuple[_Faces, set[int]]:
-    """The face dict of ``x`` and its free faces."""
+def _face_dict(x: SimplicialComplex) -> tuple[_Faces, set[int], set[int]]:
+    """The face dict of ``x``, its free faces and its facets."""
     faces: _Faces = {}
     free: set[int] = set()
+    facets: set[int] = set()
     for t in x._tops:
-        _shift(faces, free, t, 1)
-    return faces, free
+        _shift(faces, free, facets, t, 1)
+    return faces, free, facets
 
 
-def _collapse(faces: _Faces, free: set[int], tau: int, sigma: int) -> None:
+def _collapse(
+    faces: _Faces, free: set[int], facets: set[int], tau: int, sigma: int
+) -> None:
     """Remove the interval ``[tau, sigma]``; re-expose the rest of the
     boundary of ``sigma`` as new facets where needed."""
-    _shift(faces, free, sigma, -1)
+    _shift(faces, free, facets, sigma, -1)
     for t in _bits(tau):
         delta = sigma & ~(1 << t)
         if delta not in faces:
-            _shift(faces, free, delta, 1)
+            _shift(faces, free, facets, delta, 1)
 
 
-def _complex(x: SimplicialComplex, faces: _Faces) -> SimplicialComplex:
-    return SimplicialComplex(
-        x.vertices, [x._face(m) for m, (_, total) in faces.items() if m == total]
-    )
+def _complex(x: SimplicialComplex, facets: set[int]) -> SimplicialComplex:
+    return SimplicialComplex(x.vertices, map(x._face, facets))
 
 
 class CollapseResult(_Frozen):
@@ -514,7 +520,7 @@ def collapse_free_pairs(
     if strategy not in ("lex", "random"):
         raise InvalidVariant(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
-    faces, free = _face_dict(x)
+    faces, free, facets = _face_dict(x)
     key = cache(_positions)  # each face's key is built once per run
     log: list[tuple[frozenset, frozenset]] = []
     while free:
@@ -526,16 +532,16 @@ def collapse_free_pairs(
         else:
             tau = rng.choice(sorted(free, key=key))
         sigma = faces[tau][1]
-        _collapse(faces, free, tau, sigma)
+        _collapse(faces, free, facets, tau, sigma)
         log.append((x._face(tau), x._face(sigma)))
-    return CollapseResult(_complex(x, faces), tuple(log))
+    return CollapseResult(_complex(x, facets), tuple(log))
 
 
 def replay_collapses(
     x: SimplicialComplex, log: Iterable[tuple[frozenset, frozenset]]
 ) -> SimplicialComplex:
     """Re-apply a collapse log, verifying every step is a free pair."""
-    faces, free = _face_dict(x)
+    faces, free, facets = _face_dict(x)
     for step, (tau, sigma) in enumerate(log):
         m = x._mask(tau)
         if m not in free:
@@ -543,8 +549,8 @@ def replay_collapses(
         total = faces[m][1]
         if x._face(total) != sigma:
             raise ValueError(f"step {step}: {set(sigma)} is not the facet over the face")
-        _collapse(faces, free, m, total)
-    return _complex(x, faces)
+        _collapse(faces, free, facets, m, total)
+    return _complex(x, facets)
 
 
 def random_discrete_morse(x: SimplicialComplex, seed: int) -> tuple[int, ...]:
@@ -558,18 +564,24 @@ def random_discrete_morse(x: SimplicialComplex, seed: int) -> tuple[int, ...]:
     """
     rng = random.Random(seed)
     counts = [0] * (x.dimension() + 1)
-    faces, free = _face_dict(x)
+    faces, free, facets = _face_dict(x)
     key = cache(_positions)  # each face's key is built once per run
+    # The largest facets, in key order.  A removed facet only exposes
+    # smaller ones, so until none of that size is left the list only
+    # loses members and is never sorted again.
+    tops: list[int] = []
     # Left with at most the empty face, the complex is void or empty.
     while len(faces) > 1:
         if free:
             tau = rng.choice(sorted(free, key=key))
-            _collapse(faces, free, tau, faces[tau][1])
+            _collapse(faces, free, facets, tau, faces[tau][1])
             continue
-        facets = [m for m, (_, total) in faces.items() if m == total]
-        size = max(m.bit_count() for m in facets)
-        tops = sorted((m for m in facets if m.bit_count() == size), key=key)
+        tops = [m for m in tops if m in facets]
+        if not tops:
+            size = max(map(int.bit_count, facets))
+            tops = sorted((m for m in facets if m.bit_count() == size), key=key)
         sigma = rng.choice(tops)
-        counts[size - 1] += 1
-        _collapse(faces, free, sigma, sigma)  # just the facet; its boundary stays
+        counts[sigma.bit_count() - 1] += 1
+        # Just the facet; its boundary stays.
+        _collapse(faces, free, facets, sigma, sigma)
     return tuple(counts)

@@ -7,13 +7,15 @@ the pointwise minimum of two homomorphisms is a homomorphism, and walking
 through it realizes the Hamming distance exactly.  So into ``T_n`` the
 skeleton is connected when nonempty, with diameter the count of vertices
 where the pointwise min and max of all maps differ.  For any target, both
-:func:`is_connected_hom` and :func:`diameter` make one search for the
+:func:`is_connected_hom` and :func:`diameter` search for the
 homomorphisms alone and read the adjacency that ``homcomplex._skeleton``
 builds from them: two maps are joined when they differ at one vertex,
 whose two values, if it has a loop, are joined both ways in the target.
-The first labels its components, the second runs a breadth-first search
-from every map.  Neither builds a vertex map.  ``dihom reconfig`` builds
-no adjacency at all: into ``T_n`` it counts the edges off the maps.
+The first labels its components.  The second runs a breadth-first
+search from every map, apart on each weak component of the source,
+since distances in a product add.  Neither builds a vertex map.
+``dihom reconfig`` builds no adjacency at all: into ``T_n`` it counts
+the edges off the maps.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .digraph import (
     Digraph,
     VertexMap,
     _multihoms,
+    _split,
     has_homomorphism,
     is_homomorphism,
 )
@@ -53,15 +56,24 @@ def diameter(g: Digraph, h: Digraph) -> int:
 
     Runs a breadth-first search from every map, for any target (into
     ``T_n`` it is the count of vertices where ⊥ and ⊤, the pointwise min
-    and max of all maps, differ).  Raises :class:`EmptyHom` with no maps
-    and :class:`Disconnected` when some pair is unreachable.
+    and max of all maps, differ).  A source of two or more weak components
+    has the product complex, whose one-skeleton is the Cartesian product
+    of the factors' skeletons, so the diameter is the sum of the factors'
+    diameters and each factor is searched on its own.  Raises
+    :class:`EmptyHom` when there are no maps, which every factor is
+    checked for first, and :class:`Disconnected` when some pair is
+    unreachable.
     """
-    adj = _skeleton(_multihoms(g, h, max_dim=0), g, h)
-    if not adj:
+    factors = [f for _, f in _split(g)]
+    adjs = [_skeleton(_multihoms(f, h, max_dim=0), f, h) for f in factors]
+    if not all(adjs):
         raise EmptyHom("no homomorphisms")
-    if len(_graph.components(adj)) > 1:
+    if any(len(_graph.components(adj)) > 1 for adj in adjs):
         raise Disconnected("the hom complex is not connected")
-    return max(max(_graph.bfs_distances(adj, i)) for i in range(len(adj)))
+    return sum(
+        max(max(_graph.bfs_distances(adj, i)) for i in range(len(adj)))
+        for adj in adjs
+    )
 
 
 def meet_path(

@@ -6,15 +6,35 @@ test that samples is reproducible from its own seed.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example
 from hypothesis import strategies as st
 
-from dihom import Digraph, MultiHom, SimplicialComplex, VertexMap, is_multihom
+from dihom import (
+    Digraph,
+    Disconnected,
+    EmptyHom,
+    MultiHom,
+    SimplicialComplex,
+    VertexMap,
+    diameter,
+    hom_one_skeleton,
+    hom_poset,
+    is_acyclic_matching,
+    is_multihom,
+    tournament_matching,
+    transitive_tournament,
+)
+from dihom.cli import _HOMOLOGY_CELL_LIMIT, _homology_json, emit_digraph, run
+from dihom.homology import _coreduced_chains, _homology
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -166,6 +186,81 @@ def nbd_example_digraph() -> Digraph:
         5,
         [(0, 1), (2, 0), (2, 1), (3, 0), (2, 3), (4, 0), (4, 2), (4, 3), (1, 3)],
     )
+
+
+# ---------------------------------------------------------------------------
+# The unsplit route: answers read off the whole hom poset of a source, the
+# oracle for the answers read off its weak components.
+# ---------------------------------------------------------------------------
+
+
+def dihom_output(command: str, graphs: list[Digraph], args=(), cap: int = 10**6):
+    """Exit code, stdout and stderr of ``dihom --cap cap command`` on the
+    ``graphs`` written to files, then ``args``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, g in enumerate(graphs):
+            path = Path(tmp, f"g{i}.json")
+            path.write_text(emit_digraph(g), encoding="utf-8")
+            paths.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["--cap", str(cap), command, *paths, *map(str, args)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def unsplit_homology(p):
+    """The homology of a hom poset from the chains of all its cells."""
+    return _homology(*_coreduced_chains(p._packed, p.source.n, p._width))
+
+
+def unsplit_hom(g: Digraph, h: Digraph, cap: int) -> dict:
+    """What ``dihom hom`` prints for ``(g, h)``, read off the whole poset."""
+    p = hom_poset(g, h, cap)
+    census = p.dimension_census()
+    homology = None
+    if 0 < len(p) <= _HOMOLOGY_CELL_LIMIT:
+        homology = _homology_json(unsplit_homology(p))
+    return {
+        "cells": len(p),
+        "dimension_census": [[d, c] for d, c in sorted(census.items())],
+        "euler_characteristic": sum((-1) ** d * c for d, c in census.items()),
+        "homomorphisms": census.get(0, 0),
+        "connected": p.is_connected(),
+        "homology": homology,
+    }
+
+
+def unsplit_morse(g: Digraph, n: int, cap: int) -> dict:
+    """What ``dihom morse`` prints for ``(g, n)``, read off the whole
+    poset and its tournament matching."""
+    p = hom_poset(g, transitive_tournament(n), cap)
+    m = tournament_matching(g, n, poset=p)
+    return {
+        "cells": len(p),
+        "pairs": len(m.pairs),
+        "critical": [[sorted(s) for s in c.assignments] for c in m.critical],
+        "acyclic": is_acyclic_matching(p, m),
+    }
+
+
+def unsplit_diameter(g: Digraph, h: Digraph):
+    """The diameter of the whole one-skeleton by a search from every map,
+    or the class of the error :func:`diameter` raises."""
+    sk = hom_one_skeleton(g, h)
+    if not len(sk):
+        return EmptyHom
+    if not sk.is_connected():
+        return Disconnected
+    return max(max(sk.bfs_distances(i)) for i in range(len(sk)))
+
+
+def split_diameter(g: Digraph, h: Digraph):
+    """:func:`diameter`, or the class of the error it raises."""
+    try:
+        return diameter(g, h)
+    except (EmptyHom, Disconnected) as e:
+        return type(e)
 
 
 @pytest.fixture

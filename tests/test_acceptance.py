@@ -9,15 +9,22 @@ stands alone so a failure pinpoints exactly which guarantee broke.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 from conftest import (
+    dihom_output,
     heptagon_tournament,
     pentagon_tournament,
     random_dag,
     random_digraph,
     random_oriented,
+    split_diameter,
+    unsplit_diameter,
+    unsplit_hom,
+    unsplit_homology,
+    unsplit_morse,
 )
 from dihom import (
     Digraph,
@@ -561,3 +568,59 @@ def test_c12_staircase_maximal_cells():
             assert len(cells) == math.comb(n - 1, m - 1)
             p = hom_poset(transitive_tournament(m), transitive_tournament(n))
             assert p.euler_characteristic() == 1
+
+
+# ---------------------------------------------------------------------------
+# 13. A disjoint union of sources gives the product of the hom complexes
+# ---------------------------------------------------------------------------
+
+
+def check_split(g: Digraph, h: Digraph, cap: int) -> None:
+    """``dihom hom`` of ``(g, h)`` and :func:`homology_of_poset`, both
+    read off the weak components of ``g``, against the whole poset; and
+    :func:`diameter` against a search on the whole one-skeleton."""
+    code, out, err = dihom_output("hom", [g, h], cap=cap)
+    try:
+        expected = unsplit_hom(g, h, cap)
+    except SizeCapExceeded as e:
+        assert (code, err) == (1, f"error: {e}\n")
+        return
+    assert code == 0 and json.loads(out) == expected
+    p = hom_poset(g, h, cap)
+    assert homology_of_poset(p) == unsplit_homology(p)
+    if len(p.minimal_cells()) <= 200:
+        assert split_diameter(g, h) == unsplit_diameter(g, h)
+
+
+def test_c13_split_sources_match_the_unsplit_route():
+    # Every source of two or more weak components in the catalogues; the
+    # DAGs also into T_2 .. T_5 under morse, up to 20,000 cells.
+    looped = Digraph(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)])
+    targets = [transitive_tournament(3), directed_cycle(3), pentagon_tournament(), looped]
+    checked = {"loopy": 0, "oriented": 0, "dag": 0, "morse": 0}
+    for g in [g for n in range(2, 4) for g in loopy_classes(n)]:
+        if len(g.weak_components()) > 1:
+            for h in targets:
+                check_split(g, h, 20_000)
+            checked["loopy"] += 1
+    for g in [g for n in range(2, 5) for g in oriented_classes(n)]:
+        if len(g.weak_components()) > 1:
+            for h in targets:
+                check_split(g, h, 20_000)
+            checked["oriented"] += 1
+    for g in [g for n in range(2, 6) for g in dag_classes(n)]:
+        if len(g.weak_components()) < 2:
+            continue
+        checked["dag"] += 1
+        for n in range(2, 6):
+            if not has_homomorphism(g, transitive_tournament(n)):
+                continue
+            try:
+                expected = unsplit_morse(g, n, 20_000)
+            except SizeCapExceeded:
+                continue
+            code, out, _ = dihom_output("morse", [g], [n], cap=20_000)
+            assert code == 0 and json.loads(out) == expected
+            check_split(g, transitive_tournament(n), 20_000)
+            checked["morse"] += 1
+    assert checked == {"loopy": 21, "oriented": 11, "dag": 45, "morse": 129}

@@ -19,17 +19,23 @@ from hypothesis import strategies as st
 import dihom
 from dihom import (
     DEFAULT_CAP,
+    DihomError,
     Digraph,
+    Disconnected,
     EmptyHom,
     HomSkeleton,
     MultiHom,
     ParseError,
     SimplicialComplex,
+    SizeCapExceeded,
+    coproduct,
     diameter,
     directed_cycle,
     directed_path,
     has_homomorphism,
     hom_one_skeleton,
+    hom_poset,
+    homology_of_poset,
     homotopy_witness_pair,
     is_multihom,
     meet_path,
@@ -39,7 +45,18 @@ from dihom import (
 )
 from dihom.cli import build_parser, emit_digraph, parse_digraph, run
 
-from conftest import DATA_DIR, nbd_example_digraph
+from conftest import (
+    DATA_DIR,
+    digraphs,
+    dihom_output,
+    nbd_example_digraph,
+    relabel,
+    split_diameter,
+    unsplit_diameter,
+    unsplit_hom,
+    unsplit_homology,
+    unsplit_morse,
+)
 
 
 @pytest.fixture
@@ -584,9 +601,9 @@ class TestRunMorse:
         assert run(["morse", graph_file(g), n]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_packed_cells_need_no_sort_key_and_one_covers_pass(
-        self, capsys, graph_file, monkeypatch
-    ):
+    def decoded_views(self, capsys, graph_file, monkeypatch, g):
+        """``dihom morse g 4``'s critical cells, with the masks of every
+        cell view it decodes; no sort key and no covers pass may run."""
         calls = {"key": 0, "covers": 0}
         key, covers = dihom.MultiHom.key, dihom.HomPoset.covering_index_pairs
         from_masks = dihom.MultiHom._from_masks
@@ -609,13 +626,124 @@ class TestRunMorse:
         monkeypatch.setattr(
             dihom.MultiHom, "_from_masks", classmethod(counted_from_masks)
         )
-        path = graph_file(Digraph(4, [(0, 1), (2, 3)]))
-        out = run_json(capsys, "morse", path, "4")
+        out = run_json(capsys, "morse", graph_file(g), "4")
         assert out["acyclic"] is True
-        assert out["critical"] == [[[2], [3], [2], [3]]]
         assert calls == {"key": 0, "covers": 0}
-        # Only the critical cell is decoded.
+        return out["critical"], views
+
+    def test_packed_cells_need_no_sort_key_and_one_covers_pass(
+        self, capsys, graph_file, monkeypatch
+    ):
+        g = Digraph(4, [(0, 1), (2, 3)])
+        critical, views = self.decoded_views(capsys, graph_file, monkeypatch, g)
+        assert critical == [[[2], [3], [2], [3]]]
+        # Two weak components: only each factor's critical cell is decoded.
+        assert views == [(0b0100, 0b1000), (0b0100, 0b1000)]
+
+    def test_connected_source_decodes_one_critical_cell(
+        self, capsys, graph_file, monkeypatch
+    ):
+        g = Digraph(4, [(0, 1), (2, 3), (0, 3)])
+        critical, views = self.decoded_views(capsys, graph_file, monkeypatch, g)
+        assert critical == [[[2], [3], [2], [3]]]
+        # Only the critical cell of the whole poset is decoded.
         assert views == [(0b0100, 0b1000, 0b0100, 0b1000)]
+
+
+@st.composite
+def coproducts(draw, first: st.SearchStrategy, second: st.SearchStrategy) -> Digraph:
+    """A disjoint union of two drawn graphs under a drawn relabelling, so
+    the weak components interleave."""
+    g = coproduct(draw(first), draw(second))
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+class TestSplitSources:
+    """``dihom hom``, ``dihom morse``, :func:`homology_of_poset` and
+    :func:`diameter` answer a source of two or more weak components from
+    the factors; the whole poset is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coproducts(digraphs(3), digraphs(2)), digraphs(4))
+    @example(coproduct(Digraph(1), directed_cycle(3)), transitive_tournament(4))
+    @example(Digraph(2, [(0, 0)]), Digraph(2, [(0, 0), (1, 1)]))
+    def test_hom_matches_the_unsplit_route(self, g, h):
+        code, out, err = dihom_output("hom", [g, h], cap=3000)
+        try:
+            expected = unsplit_hom(g, h, 3000)
+        except SizeCapExceeded as e:
+            assert (code, out, err) == (1, "", f"error: {e}\n")
+            return
+        assert code == 0 and json.loads(out) == expected
+        p = hom_poset(g, h, 3000)
+        assert homology_of_poset(p) == unsplit_homology(p)
+        if len(p.minimal_cells()) <= 200:
+            assert split_diameter(g, h) == unsplit_diameter(g, h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coproducts(shuffled_dags, shuffled_dags), st.integers(1, 5))
+    def test_morse_matches_the_unsplit_route(self, g, n):
+        code, out, err = dihom_output("morse", [g], [n], cap=20_000)
+        try:
+            expected = unsplit_morse(g, n, 20_000)
+        except DihomError as e:
+            assert (code, out, err) == (1, "", f"error: {e}\n")
+            return
+        assert code == 0 and json.loads(out) == expected
+
+    def test_errors_come_from_the_whole_source_before_any_search(
+        self, capsys, graph_file, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("hom search ran")
+
+        monkeypatch.setattr(dihom.homcomplex, "_multihoms", fail)
+        # The first factor alone would report 3 vertices.
+        g = coproduct(directed_path(3), directed_path(5))
+        assert run(["morse", graph_file(g), "4"]) == 1
+        assert "longest directed path has 5 vertices" in capsys.readouterr().err
+        g = coproduct(directed_path(2), directed_cycle(3))
+        assert run(["morse", graph_file(g), "4"]) == 1
+        assert "cycle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hom", "morse"])
+    def test_product_over_the_cap_keeps_the_message(self, command, graph_file, capsys):
+        # Two points into T_4: 15 cells each, 225 in the product.
+        g, t = Digraph(2), transitive_tournament(4)
+        args = [graph_file(t)] if command == "hom" else ["4"]
+        assert run(["--cap", "224", command, graph_file(g), *args]) == 1
+        with pytest.raises(SizeCapExceeded) as e:
+            hom_poset(g, t, 224)
+        assert capsys.readouterr().err == f"error: {e.value}\n"
+        assert run(["--cap", "225", command, graph_file(g), *args]) == 0
+        assert json.loads(capsys.readouterr().out)["cells"] == 225
+
+    def test_an_empty_factor_wins_over_one_above_the_cap(self, capsys, graph_file):
+        # The point has 15 cells into T_4, above the cap; the triangle has
+        # none, so neither has the whole source.
+        g = coproduct(Digraph(1), directed_cycle(3))
+        t = transitive_tournament(4)
+        out = run_json(capsys, "--cap", "10", "hom", graph_file(g), graph_file(t))
+        assert out == unsplit_hom(g, t, 10)
+        assert out["cells"] == 0 and out["homology"] is None
+
+    def test_diameter_checks_every_factor_for_maps_first(self):
+        # The arc has two maps into two disjoint arcs, not joined; the
+        # triangle has none.
+        h = Digraph(4, [(0, 1), (2, 3)])
+        with pytest.raises(Disconnected):
+            diameter(Digraph(2, [(0, 1)]), h)
+        with pytest.raises(EmptyHom):
+            diameter(coproduct(Digraph(2, [(0, 1)]), directed_cycle(3)), h)
+
+    def test_diameter_of_points_is_the_sum_of_the_factors(self):
+        # 6^5 = 7776 maps: a search from every map took 44 s.
+        c6 = Digraph(6, [(u, v) for u in range(6) for v in range(6) if (v - u) % 6 < 4])
+        assert diameter(Digraph(1), c6) == 1
+        assert diameter(Digraph(5), c6) == 5
+        g = coproduct(Digraph(2, [(0, 1)]), Digraph(1))
+        assert diameter(g, c6) == diameter(Digraph(2, [(0, 1)]), c6) + 1
+        assert diameter(g, c6) == unsplit_diameter(g, c6)
 
 
 class TestRunPlumbing:

@@ -14,6 +14,7 @@ from dihom import (
     Digraph,
     HomologyGroups,
     HomPoset,
+    MultiHom,
     Poset,
     SimplicialComplex,
     SizeCapExceeded,
@@ -27,6 +28,7 @@ from dihom import (
     is_n_leray,
     order_complex,
     out_neighborhood_complex,
+    poset_product,
     random_discrete_morse,
     reduced_homology,
     simplex_boundary,
@@ -36,7 +38,13 @@ from dihom import (
     transitive_tournament,
     void_complex,
 )
-from dihom.homology import _cellular_chains, _coreduce, _coreduced_chains, _homology
+from dihom.homology import (
+    _cellular_chains,
+    _coreduce,
+    _coreduced_chains,
+    _homology,
+    _kunneth,
+)
 
 from conftest import (
     complexes,
@@ -500,6 +508,65 @@ class TestPosetHomology:
         assert x.facets == {frozenset(range(1100))}
         # homology_of_poset(chain) is the homology of this complex.
         assert reduced_homology(x).is_trivial
+
+
+class TestKunneth:
+    """The homology of a product from its factors' homology."""
+
+    def test_projective_plane_squared_runs_the_tor_term(self):
+        # The cells of P x P are pairs of faces, two blocks of six bits,
+        # and their faces drop a member of one block: the cellular chains
+        # of the product complex.
+        x = projective_plane()
+        faces = x._face_masks()
+        cells = sorted(a << 6 | b for a in faces for b in faces)
+        product = _homology(*_coreduced_chains(cells, 2, 6))
+        # Tor(Z/2, Z/2) in degree 1 + 1 + 1.
+        assert product == HomologyGroups({}, {1: (2, 2), 2: (2,), 3: (2,)})
+        h = reduced_homology(x)
+        assert _kunneth([h, h]) == product
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (projective_plane(), simplex_boundary(2)),
+            (projective_plane(), SimplicialComplex(range(2), [(0,), (1,)])),
+            (projective_plane(), full_simplex(1)),
+            (simplex_boundary(2), projective_plane()),
+            (simplex_boundary(2), simplex_boundary(2)),
+        ],
+        ids=["P x circle", "P x two points", "P x point", "circle x P", "torus"],
+    )
+    def test_matches_the_order_complex_of_the_product_poset(self, x, y):
+        # The order complex of a product of face posets is the product of
+        # the complexes.  P x P itself takes minutes this way.
+        product = poset_product(face_poset(x), face_poset(y))
+        oracle = reduced_homology(order_complex(product))
+        assert _kunneth([reduced_homology(x), reduced_homology(y)]) == oracle
+
+    def test_torsion_is_the_divisibility_chain_of_smith_normal_form(self):
+        # Z/2 (x) Z and Z (x) Z/3 meet in degree 1: Z/2 + Z/3 is Z/6.
+        a = HomologyGroups({}, {1: (2,)})
+        b = HomologyGroups({}, {1: (3,)})
+        chain, _ = smith_normal_form([[2, 0], [0, 3]])
+        assert chain == (1, 6)
+        assert _kunneth([a, b]) == HomologyGroups({}, {1: (6,)})
+
+    def test_an_empty_factor_makes_the_product_empty(self):
+        empty = HomologyGroups({-1: 1})
+        assert _kunneth([reduced_homology(projective_plane()), empty]) == empty
+        assert _kunneth([]) == HomologyGroups()
+
+    def test_a_subposet_of_a_product_is_not_split(self):
+        # Two points into two points: the whole poset is a square.  Two of
+        # its maps make a 0-sphere, with fewer cells than a factor has; its
+        # boundary is a circle, with more.
+        g, h = Digraph(2), Digraph(2)
+        assert homology_of_poset(hom_poset(g, h)).is_trivial
+        p = HomPoset(g, h, [MultiHom([{0}, {0}]), MultiHom([{1}, {1}])])
+        assert homology_of_poset(p) == HomologyGroups({0: 1})
+        square = [c for c in hom_poset(g, h).cells if c.dimension() < 2]
+        assert homology_of_poset(HomPoset(g, h, square)) == HomologyGroups({1: 1})
 
 
 class TestLeray:

@@ -42,7 +42,14 @@ from dihom import (
 from dihom import _graph
 from dihom.cli import emit_digraph, run
 from dihom.digraph import _faces, _pack, _shifts
-from dihom.morse import _in_stages, _is_packed_partition, _peel_levels, _v_path_arrows
+from dihom.morse import (
+    _collapse,
+    _face_dict,
+    _in_stages,
+    _is_packed_partition,
+    _peel_levels,
+    _v_path_arrows,
+)
 
 from conftest import complexes, digraphs, edge_cases
 
@@ -855,3 +862,21 @@ class TestCollapseOracle:
         assert len(vec) == x.dimension() + 1
         assert vec[0] >= h.rank(0) + 1
         assert all(c >= h.rank(d) for d, c in enumerate(vec) if d)
+
+    @given(complexes(max_vertices=7), st.integers(0, 3))
+    @example(empty_complex(), 0)
+    @example(TANGLE, 7)
+    @settings(max_examples=100, deadline=None)
+    def test_free_faces_and_facets_are_kept_up_to_date(self, x, seed):
+        # The sets _shift keeps against a rescan of the face dict, after
+        # every collapse and every removal of a facet.
+        faces, free, facets = _face_dict(x)
+        rng = random.Random(seed)
+        while len(faces) > 1:
+            assert facets == {m for m, (_, total) in faces.items() if m == total}
+            assert free == {
+                m for m, (k, total) in faces.items() if k == 1 and m and m != total
+            }
+            tau = rng.choice(sorted(free or facets))
+            _collapse(faces, free, facets, tau, faces[tau][1])
+        assert facets == set(faces)
