@@ -19,8 +19,10 @@ removing ``t_k`` at ``a_k``: an *element matching* (Jonsson 2008).  The
 checker certifies such a matching in one pass over its pairs.  The stage
 never rises from a cell to its faces, and an element matching has no
 V-path, so by the Patchwork theorem (Kozlov 2008, Thm 11.10) the union of
-the stages is acyclic.  A matching that fails this test gets the V-path
-search, which decides every case.
+the stages is acyclic.  Every valid matching on a hom poset tries this
+test first; one that fails it gets the V-path search, which reads the
+faces of each upper cell off :func:`digraph._faces` and decides every
+case.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ import random
 from functools import cache
 from itertools import chain
 from operator import and_, eq
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 from . import _graph
 from .complexes import Poset, SimplicialComplex, _positions
 from .constructions import transitive_tournament
-from .digraph import DEFAULT_CAP, Digraph, _Frozen, _bits, _shifts
+from .digraph import DEFAULT_CAP, Digraph, _Frozen, _bits, _faces, _shifts
 from .errors import (
     EmptyHom,
     InvalidMatching,
@@ -132,39 +134,35 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     V-path: it alternates between the lower and upper cells of matched
     pairs one dimension apart (Forman 1998).  There the check works on
     packed cells: a pair is a cover when the two cells differ in one
-    member, held by the upper one, and the graph searched has an arrow
-    from pair ``k`` to pair ``k'`` when the lower cell of ``k'`` is a face
-    of the upper cell of ``k`` other than its lower cell
-    (:func:`_v_path_arrows`).  A matching that keeps the packed cells of
-    ``p`` itself, as :func:`tournament_matching` makes one, is validated
-    in bulk with no index of the cells (:func:`_is_packed_partition`):
-    its packed cells, sorted, must be the poset's, and each upper cell
-    must hold its lower cell plus one member.  Only when that fails does
-    the pair-by-pair scan run, to name the first failing pair.  A
-    plain :class:`Poset` need not be graded, so it gets the full modified
-    Hasse diagram.
+    member, held by the upper one.  A matching that keeps the packed
+    cells of ``p`` itself, as :func:`tournament_matching` makes one, is
+    validated in bulk with no index of the cells
+    (:func:`_is_packed_partition`): its packed cells, sorted, must be the
+    poset's, and each upper cell must hold its lower cell plus one
+    member.  Only when that fails does the pair-by-pair scan run, to name
+    the first failing pair.  A plain :class:`Poset` need not be graded,
+    so it gets the full modified Hasse diagram.
 
-    A packed matching that passes in bulk on the hom poset of a DAG into
-    ``T_n`` is first tested against the stages of the tournament collapse
-    (:func:`_in_stages`), which reads only ``p.source`` and ``p.target``.
-    Say a cell is at stage ``k`` when its set at ``a_k`` is the first
-    that differs from ``{t_k}``.  When every pair adds ``t_k`` at ``a_k``
-    for the stage ``k`` of its cells, the matching is acyclic: a face is
-    at the same or a later stage than its cell, so a V-path never returns
-    to an earlier stage, and within a stage every pair toggles the one
-    element ``(a_k, t_k)`` (an element matching, Jonsson 2008), so the
-    face that a V-path steps down to keeps that element and is no lower
-    cell of the stage.  That is the Patchwork theorem (Kozlov 2008,
-    Thm 11.10) for the stage map.  The test never rejects: a matching
-    that fails it gets the V-path search unchanged.
+    Every valid matching on a :class:`HomPoset`, packed or not, is then
+    checked by :func:`_packed_acyclic`.  On the hom poset of a DAG into
+    ``T_n`` it is first tested against the stages of the tournament
+    collapse (:func:`_in_stages`), which reads only ``p.source`` and
+    ``p.target``.  Say a cell is at stage ``k`` when its set at ``a_k``
+    is the first that differs from ``{t_k}``.  When every pair adds
+    ``t_k`` at ``a_k`` for the stage ``k`` of its cells, the matching is
+    acyclic: a face is at the same or a later stage than its cell, so a
+    V-path never returns to an earlier stage, and within a stage every
+    pair toggles the one element ``(a_k, t_k)`` (an element matching,
+    Jonsson 2008), so the face that a V-path steps down to keeps that
+    element and is no lower cell of the stage.  That is the Patchwork
+    theorem (Kozlov 2008, Thm 11.10) for the stage map.  The test never
+    rejects: a matching that fails it gets the V-path search, over the
+    faces that :func:`digraph._faces` gives.
     """
     if m._poset is p:
         lowers, uppers, critical = m._packed
         if _is_packed_partition(p._packed, lowers, uppers, critical):
-            if _in_stages(p, lowers, uppers):
-                return True
-            arrows = _v_path_arrows(lowers, uppers, p.source.n, p._width)
-            return _graph.topological_order(arrows) is not None
+            return _packed_acyclic(p, lowers, uppers)
         locate = p._position
 
         def show(c: Hashable) -> Hashable:
@@ -224,14 +222,13 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
         raise InvalidMatching("pairs and critical cells do not partition the poset")
 
     if graded:
-        lows = [packed[i] for i, _ in pairs]
-        ups = [packed[j] for _, j in pairs]
-        succ = _v_path_arrows(lows, ups, p.source.n, p._width)
-    else:
-        # Modified Hasse diagram: matched covers point up, the rest down.
-        for i, j in pairs:
-            succ[j].remove(i)
-            succ[i].append(j)
+        return _packed_acyclic(
+            p, [packed[i] for i, _ in pairs], [packed[j] for _, j in pairs]
+        )
+    # Modified Hasse diagram: matched covers point up, the rest down.
+    for i, j in pairs:
+        succ[j].remove(i)
+        succ[i].append(j)
     return _graph.topological_order(succ) is not None
 
 
@@ -257,50 +254,26 @@ def _is_packed_partition(
     )
 
 
-def _v_path_arrows(
-    lowers: list[int], uppers: list[int], n: int, w: int
-) -> list[Sequence[int]]:
-    """The arrows between matched pairs ``lowers[k] < uppers[k]`` of packed
-    cells with ``n`` blocks of ``w`` bits: pair ``k`` points to pair
-    ``k'`` when the lower cell of ``k'`` is a face of the upper cell of
-    ``k`` other than its lower cell.
+def _packed_acyclic(p: HomPoset, lowers: list[int], uppers: list[int]) -> bool:
+    """Whether the pairs ``lowers[k] < uppers[k]`` of packed cells of
+    ``p``, covers with every cell used once, form an acyclic matching.
 
-    The faces are those of :func:`digraph._faces`, walked in place.  The
-    member bits of each block value met, kept in place, are listed once
-    per call (none when it has fewer than two, so it gives no face), and
-    each face is tested as it is formed, since most faces are the lower
-    cell of no pair.  A pair with no arrow shares one empty tuple.
+    The stage test (:func:`_in_stages`) comes first.  Failing it, the
+    matching is acyclic when it has no closed V-path: pair ``k`` points to
+    pair ``k'`` when the lower cell of ``k'`` is one of the
+    :func:`digraph._faces` of the upper cell of ``k`` other than its lower
+    cell.
     """
+    if _in_stages(p, lowers, uppers):
+        return True
     pair_of = {f: k for k, f in enumerate(lowers)}
-    full = (1 << w) - 1
-    masks = [full << s for s in _shifts(n, w)]
-    members: dict[int, tuple[int, ...]] = {}
-    none: tuple[int, ...] = ()
-    succ: list[Sequence[int]] = []
-    for c, own in zip(uppers, lowers):
-        out = none
-        for mask in masks:
-            block = c & mask
-            bits = members.get(block)
-            if bits is None:
-                bits = none
-                if block & (block - 1):
-                    bits = tuple(1 << b for b in _bits(block))
-                members[block] = bits
-            for x in bits:
-                f = c ^ x
-                if f in pair_of and f != own:
-                    if out is none:
-                        out = []
-                    out.append(pair_of[f])
-        succ.append(out)
-    return succ
-
-
-def _peel_levels(g: Digraph) -> list[int] | None:
-    """Longest-path-from-vertex levels of a DAG (sinks are level 0), or
-    ``None`` when ``g`` has a directed cycle."""
-    return _graph.levels([list(_bits(m)) for m in g._out])
+    # Most pairs have no arrow; they share the empty tuple, not a list each.
+    arrows = [
+        [pair_of[f] for f in faces if f in pair_of and f != own] or ()
+        for own, faces in zip(lowers, _faces(uppers, p.source.n, p._width))
+    ]
+    del pair_of  # the largest object here; the search does not need it
+    return _graph.topological_order(arrows) is not None
 
 
 def _stages(g: Digraph, n: int) -> list[tuple[int, int]]:
@@ -311,7 +284,8 @@ def _stages(g: Digraph, n: int) -> list[tuple[int, int]]:
     Raises :class:`NotAcyclic` for non-DAGs and :class:`EmptyHom` when
     ``g`` peels into more than ``n`` levels.
     """
-    level = _peel_levels(g)
+    # Longest-path-from-vertex levels: sinks are level 0.
+    level = _graph.levels([list(_bits(m)) for m in g._out])
     if level is None:
         raise NotAcyclic("digraph has a directed cycle")
     if g.n and max(level) >= n:
@@ -413,6 +387,11 @@ def tournament_matching(
                 lowers.append(c ^ bit << offset)
             # cells without the bit are exactly the lowers added above
         live = survivors
+    # A hom poset is closed under faces, so every lower cell formed is one
+    # of its cells: the counts add up exactly when the pairs and the one
+    # critical cell hold every cell.
+    if len(live) != 1 or 2 * len(lowers) + 1 != len(poset):
+        raise ShapeMismatch(f"{poset!r} is not the hom poset of the source into T_{n}")
     return Matching._from_packed(poset, lowers, uppers, live)
 
 

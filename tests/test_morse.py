@@ -3,6 +3,7 @@
 import json
 import random
 from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ import dihom.morse
 from dihom import (
     Digraph,
     EmptyHom,
+    HomPoset,
     InvalidMatching,
     InvalidVariant,
     Matching,
@@ -39,7 +41,6 @@ from dihom import (
     transitive_tournament,
     void_complex,
 )
-from dihom import _graph
 from dihom.cli import emit_digraph, run
 from dihom.digraph import _faces, _pack, _shifts
 from dihom.morse import (
@@ -47,8 +48,8 @@ from dihom.morse import (
     _face_dict,
     _in_stages,
     _is_packed_partition,
-    _peel_levels,
-    _v_path_arrows,
+    _packed_acyclic,
+    _stages,
 )
 
 from conftest import complexes, digraphs, edge_cases
@@ -217,6 +218,17 @@ class TestTournamentMatching:
         with pytest.raises(ShapeMismatch):
             tournament_matching(directed_path(2), 4, poset=p)
 
+    def test_poset_of_some_cells_is_rejected(self):
+        # Closed under faces, with the right source and target, but not
+        # every cell: the six cells below the full triangle leave the edge
+        # {0, 1} unmatched, and no cells at all leave no critical cell.
+        t = transitive_tournament(3)
+        cells = [c for c in hom_poset(Digraph(1), t) if c.dimension() < 2]
+        assert len(cells) == 6
+        for some in (cells, []):
+            with pytest.raises(ShapeMismatch):
+                tournament_matching(Digraph(1), 3, poset=HomPoset(Digraph(1), t, some))
+
 
 def _verdict(p, m):
     try:
@@ -326,18 +338,6 @@ def _packed_cells(p, m):
     return lowers, uppers, critical
 
 
-def _check_arrows(p, lowers, uppers):
-    """The walk's arrows are, per pair, the lower cells of other pairs among
-    the ``_faces`` of its upper cell, in ``_faces`` order."""
-    n, w = p.source.n, p._width
-    pair_of = {f: k for k, f in enumerate(lowers)}
-    expected = [
-        [pair_of[f] for f in faces if f in pair_of and f != own]
-        for own, faces in zip(lowers, _faces(uppers, n, w))
-    ]
-    assert [list(a) for a in _v_path_arrows(lowers, uppers, n, w)] == expected
-
-
 def _check_packed_verdict(p, m):
     """``m``, a matching of views, gets the same verdict or message when it
     is given as packed cells."""
@@ -388,10 +388,18 @@ class TestPackedMatchingCheck:
             assert _verdict(p, bad) == _verdict(q, bad)
 
 
+def _search_verdict(p, lowers, uppers):
+    """The V-path search's own verdict on the packed pairs of ``p``, with
+    the stage test that precedes it switched off."""
+    with mock.patch.object(dihom.morse, "_in_stages", lambda *args: False):
+        return _packed_acyclic(p, lowers, uppers)
+
+
 class TestVPathArrows:
-    """The packed check's arrow walk stays in step with the one face rule,
-    :func:`digraph._faces`, and a packed matching, validated in bulk or
-    pair by pair, gets the verdict or the message of its views."""
+    """The V-path search, whose arrows are read off :func:`digraph._faces`,
+    gives the verdict of the modified Hasse diagram of the plain
+    :class:`Poset`, and a packed matching, validated in bulk or pair by
+    pair, gets the verdict or the message of its views."""
 
     @settings(max_examples=60, deadline=None)
     @given(dags, st.integers(1, 4))
@@ -404,7 +412,7 @@ class TestVPathArrows:
             return
         m = tournament_matching(g, n, poset=p)
         lowers, uppers, critical = m._packed
-        _check_arrows(p, lowers, uppers)
+        assert _search_verdict(p, lowers, uppers) is True
         for bad in _perturbations(p, m):
             _check_packed_verdict(p, bad)
         # A cover-shaped pair whose lower cell empties a block of the upper
@@ -432,7 +440,8 @@ class TestVPathArrows:
         if len(p) > 300:
             return
         m = _greedy_matching(p, random.Random(len(p)))
-        _check_arrows(p, *_packed_cells(p, m)[:2])
+        lowers, uppers, _ = _packed_cells(p, m)
+        assert _search_verdict(p, lowers, uppers) is is_acyclic_matching(p.as_poset(), m)
         for bad in [m, *_perturbations(p, m)]:
             _check_packed_verdict(p, bad)
 
@@ -471,12 +480,6 @@ class TestMatchingCheckOracle:
         m = Matching(pairs, [MultiHom([{0, 1, 2}])])
         assert _oracle(p, m) is False
         _check_against_oracle(p, m)
-
-
-def _walk_verdict(p, lowers, uppers):
-    """The V-path walk's verdict on a packed matching of ``p``."""
-    arrows = _v_path_arrows(lowers, uppers, p.source.n, p._width)
-    return _graph.topological_order(arrows) is not None
 
 
 def _swapped_lowers(p, lowers, uppers, critical, rnd):
@@ -523,9 +526,9 @@ def _stage_candidates(p, m, rnd):
 
 
 class TestStageCheck:
-    """The stage check of a packed matching on the hom poset of a DAG into
-    ``T_n`` only ever says acyclic; every matching it does not pass gets
-    the V-path walk and the walk's verdict."""
+    """The stage check of a matching on the hom poset of a DAG into ``T_n``
+    only ever says acyclic; every matching it does not pass gets the
+    V-path search and its verdict."""
 
     @settings(max_examples=60, deadline=None)
     @given(dags, st.integers(2, 4), st.integers(0, 2**32))
@@ -545,21 +548,21 @@ class TestStageCheck:
         for packed in must_pass + others:
             m = Matching._from_packed(p, *packed)
             if _is_packed_partition(p._packed, *packed) and _in_stages(p, *packed[:2]):
-                assert _walk_verdict(p, *packed[:2]) is True
                 assert _oracle(p, m) is True
             assert _verdict(p, m) == _verdict(p, Matching(m.pairs, m.critical))
             _check_against_oracle(p, m)
 
     @staticmethod
     def _walks(monkeypatch):
-        """Count the V-path walks that ``is_acyclic_matching`` runs."""
+        """Count the V-path searches that ``is_acyclic_matching`` runs: in
+        ``morse`` only the search reads ``_faces``."""
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return _v_path_arrows(*args)
+            return _faces(*args)
 
-        monkeypatch.setattr(dihom.morse, "_v_path_arrows", counted)
+        monkeypatch.setattr(dihom.morse, "_faces", counted)
         return calls
 
     def _check_walked(self, monkeypatch, p, packed, expected):
@@ -570,7 +573,6 @@ class TestStageCheck:
         assert is_acyclic_matching(p, m) is expected
         assert len(walks) == 1
         assert _oracle(p, m) is expected
-        assert _walk_verdict(p, *packed[:2]) is expected
 
     def test_swapped_pair_reaches_the_walk(self, monkeypatch):
         p = hom_poset(Digraph(2), transitive_tournament(3))
@@ -603,7 +605,7 @@ class TestStageCheck:
         # Vertex 0 of a one-vertex source has stage value 2 into T_3.
         # Matching by that element passes the stage check there; into the
         # edgeless target on three vertices, with the same cells, the
-        # walk decides.
+        # V-path search decides.
         lowers = [0b001, 0b010, 0b011]
         uppers = [0b101, 0b110, 0b111]
         tournament = hom_poset(Digraph(1), transitive_tournament(3))
@@ -612,11 +614,59 @@ class TestStageCheck:
         assert p._packed == tournament._packed
         self._check_walked(monkeypatch, p, (lowers, uppers, [0b100]), True)
 
+    def test_views_and_other_posets_get_the_stage_check(self, monkeypatch):
+        # A matching of views, and a packed matching checked against a
+        # second poset object of the same graphs, go through the scan and
+        # are then certified by their stages, with no V-path search.
+        g = Digraph(4, [(0, 2), (1, 2), (2, 3)])
+        t = transitive_tournament(4)
+        p = hom_poset(g, t)
+        m = tournament_matching(g, 4, poset=p)
+        views = Matching(m.pairs, m.critical)
+        other = hom_poset(g, t)
+        walks = self._walks(monkeypatch)
+        assert is_acyclic_matching(p, views) is True
+        assert is_acyclic_matching(other, m) is True
+        assert walks == []
+
+    def test_hom_poset_routes_list_no_covers(self, monkeypatch):
+        p = hom_poset(Digraph(2), transitive_tournament(3))
+        lowers, uppers, critical = tournament_matching(Digraph(2), 3, poset=p)._packed
+        swapped = _swapped_lowers(p, lowers, uppers, critical, random.Random(0))
+        expected = _oracle(p, Matching._from_packed(p, *swapped))
+        flipped = (uppers[:1] + lowers[1:], lowers[:1] + uppers[1:], critical)
+        bad = {
+            "not a covering pair": flipped,
+            "do not partition": (lowers, uppers, critical[1:]),
+        }
+
+        def fail(self):
+            raise AssertionError("covers listed")
+
+        monkeypatch.setattr(HomPoset, "covering_index_pairs", fail)
+        walks = self._walks(monkeypatch)
+        for packed, verdict, searches in [
+            ((lowers, uppers, critical), True, 0),
+            (swapped, expected, 1),
+        ]:
+            m = Matching._from_packed(p, *packed)
+            for matching in (m, Matching(m.pairs, m.critical)):
+                walks.clear()
+                assert is_acyclic_matching(p, matching) is verdict
+                assert len(walks) == searches
+        for message, packed in bad.items():
+            m = Matching._from_packed(p, *packed)
+            with pytest.raises(InvalidMatching, match=message):
+                is_acyclic_matching(p, m)
+            assert (m._pairs, m._critical) == (None, None)
+            with pytest.raises(InvalidMatching, match=message):
+                is_acyclic_matching(p, Matching(m.pairs, m.critical))
+
     def test_dihom_morse_never_walks(self, monkeypatch, tmp_path, capsys):
         def fail(*args):
-            raise AssertionError("V-path walk ran")
+            raise AssertionError("V-path search ran")
 
-        monkeypatch.setattr(dihom.morse, "_v_path_arrows", fail)
+        monkeypatch.setattr(dihom.morse, "_faces", fail)
         sources = [
             Digraph(0),
             Digraph(3),
@@ -636,7 +686,8 @@ class TestStageCheck:
                 if code == 0:
                     assert json.loads(out)["acyclic"] is True
                 else:
-                    assert n <= max(_peel_levels(g), default=0)
+                    with pytest.raises(EmptyHom):
+                        _stages(g, n)
 
 
 class TestCollapseFreePairs:
