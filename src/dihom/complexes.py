@@ -23,16 +23,18 @@ complex share one chain-complex builder (``homology._cellular_chains``).
 A face becomes a mask in one place, ``SimplicialComplex``: its
 constructor keeps the maximal generator masks (:func:`_maximal`), its
 faces are their submasks (:func:`_downset`), and homology and the Morse
-collapses read those masks, never the frozenset facets.
+collapses read those masks, never the frozenset facets.  The
+neighborhood complexes of a digraph start from its adjacency masks,
+which are masks already, and share the constructor's fill.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from . import _graph
-from .digraph import DEFAULT_CAP, Digraph, _Frozen, _bits, _faces
+from .digraph import DEFAULT_CAP, Digraph, _Frozen, _bits, _faces, _mask_of
 from .errors import (
     EmptyComplex,
     FaceNotInComplex,
@@ -113,29 +115,41 @@ class SimplicialComplex(_Frozen):
     one); every query, homology and the Morse collapses read them, and
     ``facets`` holds the generators they came from.  The nonempty faces,
     sorted ascending ("packed order"), are enumerated from ``_tops`` on
-    first use and cached; face counts are popcounts over them.
+    first use and cached; face counts are popcounts over them.  The
+    reduced homology is cached on first use too
+    (``homology.reduced_homology``).
     """
 
-    __slots__ = ("vertices", "facets", "_pos", "_tops", "_masks")
+    __slots__ = ("vertices", "facets", "_pos", "_tops", "_masks", "_homology")
 
     def __init__(self, vertices: Iterable[Hashable], faces: Iterable[Iterable[Hashable]]):
         vs = tuple(vertices)
         pos = {v: i for i, v in enumerate(vs)}
         if len(pos) != len(vs):
             raise InvalidVertex("duplicate vertex label")
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "_pos", pos)
         gens: dict[int, frozenset] = {}
         for f in map(frozenset, faces):
-            m = self._mask(f)
-            if m is None:
-                v = next(v for v in f if v not in pos)
-                raise InvalidVertex(f"face {set(f)} mentions unknown vertex {v!r}")
+            m = 0
+            try:
+                for v in f:
+                    m |= 1 << pos[v]
+            except KeyError as e:
+                raise InvalidVertex(
+                    f"face {set(f)} mentions unknown vertex {e.args[0]!r}"
+                ) from None
             gens[m] = f
         tops = _maximal(gens)
-        object.__setattr__(self, "facets", frozenset(map(gens.get, tops)))
+        self._fill(vs, pos, frozenset(map(gens.get, tops)), tops)
+
+    def _fill(
+        self, vertices: tuple, pos: dict, facets: frozenset, tops: list[int]
+    ) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "facets", facets)
         object.__setattr__(self, "_tops", tops)
         object.__setattr__(self, "_masks", None)
+        object.__setattr__(self, "_homology", None)
 
     # -- queries -----------------------------------------------------------
 
@@ -441,13 +455,33 @@ def out_neighborhood_complex(g: Digraph) -> SimplicialComplex:
     edges at all this is the empty complex (the empty set is the only
     out-neighborhood).
     """
-    vertices = [v for v in range(g.n) if g.in_degree(v) > 0]
-    return SimplicialComplex(vertices, (g.out_neighbors(v) for v in range(g.n)))
+    return _neighborhood_complex(g._out)
 
 
 def in_neighborhood_complex(g: Digraph) -> SimplicialComplex:
     """Mirror of :func:`out_neighborhood_complex` (in-neighborhoods)."""
-    return out_neighborhood_complex(g.reverse())
+    return _neighborhood_complex(g._in)
+
+
+def _neighborhood_complex(nbrs: Sequence[int]) -> SimplicialComplex:
+    """The complex generated by the neighbor masks ``nbrs`` of a digraph,
+    one per vertex (``Digraph._out`` or ``Digraph._in``).
+
+    Its vertices are the labels in some mask.  The maximal masks are found
+    over the labels; they are the position masks too unless some label is
+    in no mask, and only then are they re-indexed to positions."""
+    support = 0
+    for m in nbrs:
+        support |= m
+    vertices = tuple(_bits(support))
+    labels = _maximal(nbrs)
+    tops = labels
+    pos = {v: i for i, v in enumerate(vertices)}
+    if len(vertices) < len(nbrs):
+        tops = [_mask_of(pos[v] for v in _bits(t)) for t in labels]
+    x = object.__new__(SimplicialComplex)
+    x._fill(vertices, pos, frozenset(frozenset(_bits(t)) for t in labels), tops)
+    return x
 
 
 def universality_graph(x: SimplicialComplex) -> Digraph:

@@ -38,7 +38,9 @@ replaces, and only the last nerve's faces (``complexes._downset``) go
 to the coreduction pass.  The Leray check reads each link off the facet
 masks too, and visits only the faces that are intersections of facets:
 every facet holding any other face ``f`` also holds some vertex outside
-``f``, so the link of ``f`` is a cone.
+``f``, so the link of ``f`` is a cone.  The link of the empty face is the
+complex itself, so that test reads the homology :func:`reduced_homology`
+keeps on the complex, before any intersection is formed.
 
 The Smith normal form routine is a sparse, pure-integer elimination;
 Python's arbitrary-precision arithmetic means entry growth is a speed
@@ -300,8 +302,11 @@ class ChainComplex(_Frozen):
 def reduced_homology(x: SimplicialComplex) -> HomologyGroups:
     """Reduced integral homology of a simplicial complex, computed on its
     iterated facet nerve (see the module docstring); no face of ``x``
-    itself is enumerated unless the nerve is no smaller."""
-    return _facet_homology(x._tops)
+    itself is enumerated unless the nerve is no smaller.  The result is
+    kept on ``x``, so :func:`is_n_leray` reads it for the empty face."""
+    if x._homology is None:
+        object.__setattr__(x, "_homology", _facet_homology(x._tops))
+    return x._homology
 
 
 def _facet_homology(tops: Sequence[int]) -> HomologyGroups:
@@ -557,18 +562,28 @@ def is_n_leray(x: SimplicialComplex, n: int) -> LerayCertificate:
     Faces are visited by dimension, then by face key, and the first
     failing one is the witness.  Only the empty face and the intersections
     of facets are visited: the link of any other face is a cone.  The
+    link of the empty face is ``x`` itself, so it is tested first, from
+    :func:`reduced_homology`, before any intersection is formed.  The
     link of face ``f`` has the facets ``{t ^ f : t ⊇ f}`` over the facets
     ``t``, and its homology comes from :func:`_facet_homology`.
     """
+    for d in reduced_homology(x).degrees():
+        if d >= n:
+            return LerayCertificate(False, frozenset(), d)
     tops = x._tops
-    meets = set(tops)
-    fresh = meets
-    while fresh:
-        fresh = {a & t for a in fresh for t in tops} - meets
-        meets |= fresh
-    for f in sorted(meets | {0}, key=_face_order):
+    for f in sorted(_meets(tops) - {0}, key=_face_order):
         link = [t ^ f for t in tops if t & f == f]
         for d in _facet_homology(link).degrees():
             if d >= n:
                 return LerayCertificate(False, x._face(f), d)
     return LerayCertificate(True)
+
+
+def _meets(tops: Sequence[int]) -> set[int]:
+    """The facet masks ``tops`` and every intersection of two or more."""
+    meets = set(tops)
+    fresh = meets
+    while fresh:
+        fresh = {a & t for a in fresh for t in tops} - meets
+        meets |= fresh
+    return meets

@@ -32,12 +32,14 @@ from dihom import (
     diameter,
     directed_cycle,
     directed_path,
+    enumerate_tournaments,
     has_homomorphism,
     hom_one_skeleton,
     hom_poset,
     homology_of_poset,
     homotopy_witness_pair,
     is_multihom,
+    is_n_leray,
     meet_path,
     out_neighborhood_complex,
     sphere_tournament,
@@ -308,6 +310,70 @@ class TestRunNbd:
         assert out["euler_characteristic"] == 1
         assert out["homology"] == []
         assert out["leray"]["holds"] is True
+
+
+def _leray_block(g: Digraph, n: int) -> dict:
+    """The ``leray`` block of ``dihom nbd --check-leray n`` on ``g``."""
+    code, out, err = dihom_output("nbd", [g], ["--check-leray", n])
+    assert code == 0, err
+    return json.loads(out)["leray"]
+
+
+def _certificate(g: Digraph, n: int) -> dict:
+    cert = is_n_leray(out_neighborhood_complex(g), n)
+    face = None if cert.holds else sorted(cert.witness_face)
+    return {
+        "n": n,
+        "holds": cert.holds,
+        "witness_face": face,
+        "witness_degree": cert.witness_degree,
+    }
+
+
+class TestNbdLeray:
+    """The command's Leray block is the library's certificate."""
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_five_vertex_tournaments(self, index):
+        t = enumerate_tournaments(5)[index]
+        for n in range(-1, 4):
+            assert _leray_block(t, n) == _certificate(t, n)
+
+    @given(digraphs(6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_digraphs(self, g):
+        for n in range(-1, 4):
+            assert _leray_block(g, n) == _certificate(g, n)
+
+    def _facet_homology_calls(self, monkeypatch, g: Digraph) -> tuple[list, dict]:
+        calls = []
+        real = dihom.homology._facet_homology
+
+        def record(tops):
+            calls.append(list(tops))
+            return real(tops)
+
+        monkeypatch.setattr(dihom.homology, "_facet_homology", record)
+        return calls, _leray_block(g, 1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [nbd_example_digraph(), *enumerate_tournaments(5)],
+        ids=["example", *(f"T5-{i}" for i in range(12))],
+    )
+    def test_whole_complex_homology_is_computed_once(self, monkeypatch, g):
+        calls, _ = self._facet_homology_calls(monkeypatch, g)
+        assert calls.count(out_neighborhood_complex(g)._tops) == 1
+
+    def test_failing_empty_face_forms_no_intersection(self, monkeypatch):
+        def fail(tops):
+            raise AssertionError("intersections of facets formed")
+
+        monkeypatch.setattr(dihom.homology, "_meets", fail)
+        g = sphere_tournament(1)  # a circle: the complex fails at its empty face
+        calls, leray = self._facet_homology_calls(monkeypatch, g)
+        assert (leray["witness_face"], leray["witness_degree"]) == ([], 1)
+        assert calls == [out_neighborhood_complex(g)._tops]
 
 
 class TestRunFold:

@@ -24,6 +24,7 @@ from dihom import (
     order_complex,
     out_neighborhood_complex,
     poset_product,
+    reduced_homology,
     simplex_boundary,
     transitive_tournament,
     universality_graph,
@@ -31,7 +32,7 @@ from dihom import (
 )
 from dihom._graph import components
 
-from conftest import nbd_example_digraph, random_digraph
+from conftest import digraphs, nbd_example_digraph, random_digraph
 
 
 def fs(*members):
@@ -274,6 +275,37 @@ class TestNeighborhoodComplexes:
         for _ in range(15):
             g = random_digraph(rng, 5)
             assert in_neighborhood_complex(g) == out_neighborhood_complex(g.reverse())
+
+    @given(digraphs(7))
+    @example(Digraph(0))
+    @example(Digraph(4))
+    # loops, and isolated vertices 2 and 4
+    @example(Digraph(5, [(0, 0), (0, 1), (1, 3), (3, 3)]))
+    # in-degree 0 at 2 and 3, out-degree 0 at 2 and 4: mid-label gaps
+    @example(Digraph(6, [(0, 1), (3, 1), (3, 4), (1, 5), (5, 0)]))
+    @settings(max_examples=150, deadline=None)
+    def test_mask_built_complexes_match_the_constructor(self, g):
+        # The reference builds each complex from frozenset neighborhoods.
+        vs = range(g.n)
+        for built, ref in (
+            (
+                out_neighborhood_complex(g),
+                SimplicialComplex(
+                    [v for v in vs if g.in_degree(v)], map(g.out_neighbors, vs)
+                ),
+            ),
+            (
+                in_neighborhood_complex(g),
+                SimplicialComplex(
+                    [v for v in vs if g.out_degree(v)], map(g.in_neighbors, vs)
+                ),
+            ),
+        ):
+            assert built.vertices == ref.vertices
+            assert built.facets == ref.facets
+            assert built._tops == ref._tops
+            assert reduced_homology(built) == reduced_homology(ref)
+        assert in_neighborhood_complex(g) == out_neighborhood_complex(g.reverse())
 
     def test_transitive_tournament_out_complex_is_simplex(self):
         x = out_neighborhood_complex(transitive_tournament(4))
