@@ -96,11 +96,14 @@ def parse_digraph(text: str) -> Digraph:
         raise ParseError('"edges" must be an array of [u, v] pairs')
     seen: dict[tuple[int, int], int] = {}
     edges = []
+    # ``json.loads`` builds exact lists and ints, so exact type tests
+    # accept what it gives and still reject ``true`` as an endpoint.
     for i, entry in enumerate(raw_edges):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)
+        if not (
+            type(entry) is list
+            and len(entry) == 2
+            and type(entry[0]) is int
+            and type(entry[1]) is int
         ):
             raise ParseError(f"edge {i} must be a pair of integers, got {entry!r}")
         u, v = entry
@@ -244,12 +247,15 @@ def _cmd_hom(ns: argparse.Namespace) -> Any:
         "dimension_census": [[d, c] for d, c in sorted(census.items())],
         "euler_characteristic": sum((-1) ** d * c for d, c in census.items()),
         "homomorphisms": census.get(0, 0),
-        "connected": all(p.is_connected() for p in posets),
     }
     if 0 < cells <= _HOMOLOGY_CELL_LIMIT:
-        groups = [homology_of_poset(p, ns.cap) for p in posets]
-        out["homology"] = _homology_json(_kunneth(groups))
+        homology = _kunneth([homology_of_poset(p, ns.cap) for p in posets])
+        # A nonempty complex is connected exactly when its reduced H_0 is
+        # zero, so no one-skeleton is built.
+        out["connected"] = not homology.rank(0)
+        out["homology"] = _homology_json(homology)
     else:
+        out["connected"] = all(p.is_connected() for p in posets)
         out["homology"] = None
     return out
 

@@ -13,7 +13,6 @@ objects.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -453,8 +452,9 @@ def _multihoms(
     full = (1 << h.n) - 1
     shifts = _shifts(n, max(h.n, 1))
     looped = _mask_of(t for t in range(h.n) if h._out[t] >> t & 1)
-    co = functools.cache(lambda mask: _common(h._out, mask, full))
-    ci = functools.cache(lambda mask: _common(h._in, mask, full))
+    # The common out- and in-neighborhoods in ``h`` of the value sets met
+    # so far, read inline; the empty set's is every vertex.
+    co, ci = {0: full}, {0: full}
     adj = [(o | i) & ~(1 << v) for v, (o, i) in enumerate(zip(g._out, g._in))]
     # Per position of the search order: the vertex, its block offset,
     # whether it is looped, and its placed in- and out-neighbors.
@@ -480,9 +480,13 @@ def _multihoms(
         v, shift, loop, ins, outs = steps[i]
         allowed = looped if loop else full
         for u in ins:
-            allowed &= co(masks[u])
+            if (x := co.get(masks[u])) is None:
+                x = _meet(co, h._out, masks[u])
+            allowed &= x
         for u in outs:
-            allowed &= ci(masks[u])
+            if (x := ci.get(masks[u])) is None:
+                x = _meet(ci, h._in, masks[u])
+            allowed &= x
         if max_dim == 0:
             # A looped vertex only allows looped values, so a single value
             # needs no clique test.
@@ -497,19 +501,29 @@ def _multihoms(
                     if rec(i + 1, acc | s << shift):
                         return True
             return False
+        # A looped vertex's set must be a clique of looped values: inside
+        # its own common out-neighborhood.
         s = 0
         if i == last:
             while s := (s - allowed) & allowed:
-                if not loop or s & ~co(s) == 0:
-                    cells.append(acc | s << shift)
-                    if len(cells) == limit:
-                        return True
+                if loop:
+                    if (x := co.get(s)) is None:
+                        x = _meet(co, h._out, s)
+                    if s & ~x:
+                        continue
+                cells.append(acc | s << shift)
+                if len(cells) == limit:
+                    return True
             return False
         while s := (s - allowed) & allowed:
-            if not loop or s & ~co(s) == 0:
-                masks[v] = s
-                if rec(i + 1, acc | s << shift):
-                    return True
+            if loop:
+                if (x := co.get(s)) is None:
+                    x = _meet(co, h._out, s)
+                if s & ~x:
+                    continue
+            masks[v] = s
+            if rec(i + 1, acc | s << shift):
+                return True
         return False
 
     rec(0, 0)
@@ -517,11 +531,16 @@ def _multihoms(
     return cells
 
 
-def _common(nbrs: Sequence[int], mask: int, full: int) -> int:
-    """The intersection of ``full`` and ``nbrs[x]`` over the bits of ``mask``."""
-    for x in _bits(mask):
-        full &= nbrs[x]
-    return full
+def _meet(memo: dict[int, int], nbrs: Sequence[int], mask: int) -> int:
+    """Store in ``memo`` and return the intersection of ``nbrs[x]`` over
+    the bits ``x`` of ``mask``, a set ``memo`` lacks.  The entry is filled
+    from ``mask`` less its lowest bit, one AND per set new to ``memo``;
+    ``memo`` holds the empty set, so the recursion ends."""
+    low = mask & -mask
+    if (x := memo.get(mask ^ low)) is None:
+        x = _meet(memo, nbrs, mask ^ low)
+    x = memo[mask] = x & nbrs[low.bit_length() - 1]
+    return x
 
 
 def _arrows(g: Digraph, h: Digraph, maps: Sequence[VertexMap]) -> list[int]:

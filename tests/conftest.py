@@ -25,6 +25,7 @@ from dihom import (
     MultiHom,
     SimplicialComplex,
     VertexMap,
+    canonical_key,
     diameter,
     hom_one_skeleton,
     hom_poset,
@@ -157,6 +158,68 @@ def random_tournament(rng: random.Random, n: int) -> Digraph:
         for v in range(u + 1, n):
             edges.append((u, v) if rng.random() < 0.5 else (v, u))
     return Digraph(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# Catalogues of small digraphs up to isomorphism, swept by the acceptance
+# checks and the CLI tests.
+# ---------------------------------------------------------------------------
+
+
+def iso_classes(n: int, pair_states: int, edges_of) -> list[Digraph]:
+    """Enumerate digraphs on ``n`` vertices up to isomorphism.
+
+    ``edges_of(mask)`` decodes a base-``pair_states`` mask over the
+    unordered vertex pairs (or the full vertex grid) into an edge list.
+    """
+    reps: dict = {}
+    for mask in range(pair_states):
+        g = Digraph(n, edges_of(mask))
+        reps.setdefault(canonical_key(g), g)
+    return [reps[k] for k in sorted(reps)]
+
+
+def dag_classes(n: int) -> list[Digraph]:
+    """All acyclic digraphs on ``n`` vertices up to isomorphism.
+
+    Every DAG relabels to one whose edges go up a fixed linear order, so
+    ranging over subsets of the upper triangle hits every class.
+    """
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return iso_classes(
+        n,
+        2 ** len(pairs),
+        lambda mask: [pairs[i] for i in range(len(pairs)) if mask >> i & 1],
+    )
+
+
+def oriented_classes(n: int) -> list[Digraph]:
+    """All loopless digon-free digraphs on ``n`` vertices up to iso."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    reps: dict = {}
+
+    def rec(i: int, edges: list[tuple[int, int]]) -> None:
+        if i == len(pairs):
+            g = Digraph(n, edges)
+            reps.setdefault(canonical_key(g), g)
+            return
+        u, v = pairs[i]
+        rec(i + 1, edges)
+        rec(i + 1, edges + [(u, v)])
+        rec(i + 1, edges + [(v, u)])
+
+    rec(0, [])
+    return [reps[k] for k in sorted(reps)]
+
+
+def loopy_classes(n: int) -> list[Digraph]:
+    """All digraphs on ``n`` vertices (loops allowed) up to isomorphism."""
+    grid = [(u, v) for u in range(n) for v in range(n)]
+    return iso_classes(
+        n,
+        2 ** len(grid),
+        lambda mask: [grid[i] for i in range(len(grid)) if mask >> i & 1],
+    )
 
 
 def circulant(n: int, shifts: tuple[int, ...]) -> Digraph:

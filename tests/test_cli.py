@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,13 +46,24 @@ from dihom import (
     sphere_tournament,
     transitive_tournament,
 )
-from dihom.cli import build_parser, emit_digraph, parse_digraph, run
+from dihom.cli import (
+    _HOMOLOGY_CELL_LIMIT,
+    build_parser,
+    emit_digraph,
+    parse_digraph,
+    run,
+)
+from dihom.digraph import _split
+from dihom.homcomplex import _factor_posets
 
 from conftest import (
     DATA_DIR,
     digraphs,
     dihom_output,
+    loopy_classes,
     nbd_example_digraph,
+    oriented_classes,
+    pentagon_tournament,
     relabel,
     split_diameter,
     unsplit_diameter,
@@ -101,6 +113,8 @@ class TestParse:
             '{"vertices": 2, "edges": [[0]]}',
             '{"vertices": 2, "edges": [[0, "1"]]}',
             '{"vertices": 2, "edges": [[0, true]]}',
+            '{"vertices": 2, "edges": [[0, 1.0]]}',
+            '{"vertices": 2, "edges": [[0, [1]]]}',
             '{"vertices": 2, "edges": [[0, 2]]}',
             '{"vertices": 2, "edges": [[0, 1], [0, 1]]}',
             '{"vertices": 2, "edges": [], "labels": ["a"]}',
@@ -117,6 +131,8 @@ class TestParse:
             "short-edge",
             "string-endpoint",
             "bool-endpoint",
+            "float-endpoint",
+            "nested-endpoint",
             "out-of-range",
             "duplicate-edge",
             "short-labels",
@@ -126,6 +142,11 @@ class TestParse:
     def test_rejected_documents(self, text):
         with pytest.raises(ParseError):
             parse_digraph(text)
+
+    def test_bool_endpoint_error_names_the_entry(self):
+        with pytest.raises(ParseError) as info:
+            parse_digraph('{"vertices": 2, "edges": [[0, 1], [0, true]]}')
+        assert str(info.value) == "edge 1 must be a pair of integers, got [0, True]"
 
     def test_duplicate_error_names_both_entries(self):
         with pytest.raises(ParseError, match="edge 2 .* duplicates edge 0"):
@@ -188,6 +209,10 @@ shuffled_dags = st.integers(0, 5).flatmap(
 )
 
 
+# Two disjoint arcs: the target of a disconnected hom complex.
+TWO_ARCS = Digraph(4, [(0, 1), (2, 3)])
+
+
 class TestRunHom:
     def test_tournament_pair(self, capsys, graph_file):
         src = graph_file(transitive_tournament(2))
@@ -234,6 +259,76 @@ class TestRunHom:
         assert out["connected"] is False
         out = run_json(capsys, "hom", src, graph_file(transitive_tournament(5)))
         assert out["connected"] is True
+
+    @pytest.mark.parametrize(
+        "g, h, connected",
+        [
+            (directed_path(3), transitive_tournament(5), True),
+            # The arc's two maps onto the two arcs share no 1-cell.
+            (directed_path(2), TWO_ARCS, False),
+            # The point's complex is a simplex, so the arc's factor decides.
+            (coproduct(directed_path(2), Digraph(1)), TWO_ARCS, False),
+            (coproduct(directed_path(2), Digraph(1)), transitive_tournament(4), True),
+        ],
+        ids=["connected", "disconnected", "split-disconnected", "split-connected"],
+    )
+    def test_connected_is_read_off_the_homology(
+        self, capsys, graph_file, monkeypatch, g, h, connected
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("one-skeleton built")
+
+        monkeypatch.setattr(dihom.homcomplex, "_skeleton", fail)
+        out = run_json(capsys, "hom", graph_file(g), graph_file(h))
+        assert out["homology"] is not None
+        assert out["connected"] is connected
+
+    def test_connected_matches_the_skeleton_over_the_catalogues(self):
+        looped = Digraph(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)])
+        targets = [
+            transitive_tournament(3),
+            directed_cycle(3),
+            pentagon_tournament(),
+            looped,
+            TWO_ARCS,
+        ]
+        sources = [g for n in range(1, 4) for g in loopy_classes(n)]
+        sources += [g for n in range(2, 5) for g in oriented_classes(n)]
+        # Per route (homology or skeleton), how often each answer came up.
+        seen = Counter()
+        for g in sources:
+            for h in targets:
+                code, out, _ = dihom_output("hom", [g, h], cap=20_000)
+                if code:
+                    continue
+                out = json.loads(out)
+                posets = _factor_posets(_split(g), h, 20_000)
+                assert out["connected"] is all(p.is_connected() for p in posets)
+                seen[out["homology"] is not None, out["connected"]] += 1
+        assert seen == {
+            (True, True): 132,
+            (True, False): 185,
+            (False, True): 1,
+            (False, False): 513,
+        }
+
+    def test_above_the_homology_limit_connected_comes_from_the_skeleton(
+        self, capsys, graph_file, monkeypatch
+    ):
+        calls = []
+        skeleton = dihom.homcomplex._skeleton
+
+        def counted(*args):
+            calls.append(args)
+            return skeleton(*args)
+
+        monkeypatch.setattr(dihom.homcomplex, "_skeleton", counted)
+        # Every nonempty subset of a loopless target is a cell of a point.
+        out = run_json(capsys, "hom", graph_file(Digraph(1)), graph_file(Digraph(12)))
+        assert out["cells"] == 4095 > _HOMOLOGY_CELL_LIMIT
+        assert out["homology"] is None
+        assert out["connected"] is True
+        assert len(calls) == 1
 
     def test_former_order_complex_blow_up_finishes(self, capsys, graph_file):
         # 255 cells: its order complex took minutes to reduce.
