@@ -19,7 +19,8 @@ deterministic enumeration) always go through the position of a label in
 the complex's ``vertices`` tuple, never through comparing labels.
 Inside a complex each face is a bitmask over those positions: the
 one-block case of the packed cells of a hom complex, so both kinds of
-complex share one chain-complex builder (``homology._cellular_chains``).
+complex share one face rule and one homology engine
+(``homology._morse_chains``).
 A face becomes a mask in one place, ``SimplicialComplex``: its
 constructor keeps the maximal generator masks (:func:`_maximal`), its
 faces are their submasks (:func:`_downset`), and homology and the Morse

@@ -9,6 +9,7 @@ canonical-key order.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -16,8 +17,14 @@ from .digraph import Digraph, _bits, _check_vertex_count
 from .errors import InvalidRange, InvalidSize, InvalidVariant, SizeCapExceeded
 
 
+@lru_cache(maxsize=None, typed=True)
 def transitive_tournament(n: int) -> Digraph:
-    """The transitive tournament: edge ``(i, j)`` for every ``i < j``."""
+    """The transitive tournament: edge ``(i, j)`` for every ``i < j``.
+
+    A :class:`Digraph` is immutable, so equal ``n`` gives the same object;
+    at most 64 are ever kept.  A call that raises keeps nothing, and
+    ``typed`` keeps ``5``, ``5.0`` and ``True`` apart, so every call
+    answers as the function body would."""
     if n < 1:
         raise InvalidSize(f"transitive tournament needs n >= 1, got {n}")
     _check_vertex_count(n)

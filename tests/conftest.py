@@ -35,7 +35,7 @@ from dihom import (
     transitive_tournament,
 )
 from dihom.cli import _HOMOLOGY_CELL_LIMIT, _homology_json, emit_digraph, run
-from dihom.homology import _coreduced_chains, _homology
+from dihom.homology import _homology, _morse_chains
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -274,7 +274,7 @@ def dihom_output(command: str, graphs: list[Digraph], args=(), cap: int = 10**6)
 
 def unsplit_homology(p):
     """The homology of a hom poset from the chains of all its cells."""
-    return _homology(*_coreduced_chains(p._packed, p.source.n, p._width))
+    return _homology(*_morse_chains(p._packed, p.source.n, p._width))
 
 
 def unsplit_hom(g: Digraph, h: Digraph, cap: int) -> dict:

@@ -71,6 +71,16 @@ class TestFamilies:
         assert all(t.has_edge(i, j) for i in range(4) for j in range(i + 1, 4))
         assert t.is_acyclic()
 
+    def test_transitive_tournament_is_kept(self):
+        assert transitive_tournament(5) is transitive_tournament(5)
+        assert transitive_tournament(5) is not transitive_tournament(6)
+        # A failed call keeps nothing, so a bad n raises every time.
+        for _ in range(2):
+            with pytest.raises(InvalidSize):
+                transitive_tournament(0)
+            with pytest.raises(SizeCapExceeded):
+                transitive_tournament(65)
+
     def test_directed_path_and_cycle(self):
         p = directed_path(4)
         assert set(p.edges) == {(0, 1), (1, 2), (2, 3)}

@@ -40,10 +40,10 @@ from dihom import (
 )
 from dihom.homology import (
     _cellular_chains,
-    _coreduce,
-    _coreduced_chains,
+    _element_matching,
     _homology,
     _kunneth,
+    _morse_chains,
 )
 
 from conftest import (
@@ -411,14 +411,29 @@ class TestCellularHomology:
 
 
 def unreduced_homology(cells: list[int], n: int, w: int) -> HomologyGroups:
-    """The cellular route without the coreduction pass: the oracle."""
+    """The cellular route without the element matching: the oracle."""
     return _homology(*_cellular_chains(cells, n, w))
 
 
+def assert_morse_inequalities(ranks: dict[int, int], h: HomologyGroups) -> None:
+    """The weak Morse inequalities and the Euler characteristic: with one
+    critical 0-cell set against the augmentation cell, the critical cells
+    of each degree number at least the generators of the reduced homology
+    there, and their alternating sum is the reduced Euler characteristic."""
+    counts = dict(ranks)
+    if 0 in counts:
+        counts[-1] -= 1
+        counts[0] -= 1
+    for d in h.degrees():
+        assert counts.get(d, 0) >= h.rank(d) + len(h.torsion(d))
+    euler = sum((-1) ** d * m for d, m in counts.items())
+    assert euler == sum((-1) ** d * h.rank(d) for d in h.degrees())
+
+
 class TestCoreduction:
-    """Coreductions and collapses before the chains keep the homology of
-    the unreduced cellular chains, and the survivors still form a chain
-    complex."""
+    """The Morse complex of the iterated element matching keeps the
+    homology of the unreduced cellular chains, and its boundary, read
+    along the gradient paths, is still a chain complex."""
 
     @settings(max_examples=300, deadline=None)
     @given(digraphs(3), digraphs(4))
@@ -431,8 +446,11 @@ class TestCoreduction:
         except SizeCapExceeded:
             return
         cells, n, w = p._packed, g.n, max(h.n, 1)
-        assert_squares_to_zero(_coreduced_chains(cells, n, w)[1])
-        assert homology_of_poset(p) == unreduced_homology(cells, n, w)
+        oracle = unreduced_homology(cells, n, w)
+        ranks, boundaries = _morse_chains(cells, n, w)
+        assert_squares_to_zero(boundaries)
+        assert_morse_inequalities(ranks, oracle)
+        assert homology_of_poset(p) == oracle
 
     @settings(max_examples=200, deadline=None)
     @given(complexes())
@@ -442,41 +460,56 @@ class TestCoreduction:
     @example(empty_complex())
     @example(out_neighborhood_complex(sphere_tournament(2)))
     def test_simplicial_complexes_match_unreduced_chains(self, x):
-        if x.is_void:  # not even the augmentation cell: the pass never sees it
+        if x.is_void:  # not even the augmentation cell: the engine never sees it
             assert reduced_homology(x).is_trivial
             return
         cells, w = x._face_masks(), max(len(x.vertices), 1)
         oracle = unreduced_homology(cells, 1, w)
-        ranks, boundaries = _coreduced_chains(cells, 1, w)
+        ranks, boundaries = _morse_chains(cells, 1, w)
         assert_squares_to_zero(boundaries)
+        assert_morse_inequalities(ranks, oracle)
         assert _homology(ranks, boundaries) == oracle
-        # Through the facet nerve, which may hand the pass a smaller complex.
+        # Through the facet nerve, which may hand the engine a smaller complex.
         assert reduced_homology(x) == oracle
 
     def test_projective_plane_keeps_its_torsion(self):
+        # One critical cell in each of degrees 0, 1 and 2: the counts do
+        # not decide, and the Morse boundary from degree 2 to 1 is 2.
         x = projective_plane()
-        cells = x._face_masks()
-        ranks, boundaries = _coreduced_chains(cells, 1, 6)
-        assert 0 < sum(ranks.values()) < len(cells)
+        ranks, boundaries = _morse_chains(x._face_masks(), 1, 6)
+        assert ranks == {-1: 1, 0: 1, 1: 1, 2: 1}
+        assert boundaries[2] == {0: {0: 2}}
         assert _homology(ranks, boundaries) == HomologyGroups({}, {1: (2,)})
+
+    def test_counts_that_decide_build_no_boundary(self):
+        # An edge matches down to one vertex, even with three cells live.
+        # A circle keeps a vertex and an edge: no two adjacent degrees hold
+        # cells once the vertex is set against the augmentation cell, so
+        # only the degree-0 row is built.
+        edge, circle = full_simplex(1), simplex_boundary(2)
+        assert _morse_chains(edge._face_masks(), 1, 2) == ({-1: 1, 0: 1}, {0: {0: {0: 1}}})
+        ranks, boundaries = _morse_chains(circle._face_masks(), 1, 3)
+        assert (ranks, boundaries) == ({-1: 1, 0: 1, 1: 1}, {0: {0: {0: 1}}})
+        assert _homology(ranks, boundaries) == sphere_homology(1)
 
     def test_disjoint_circles_keep_both_components(self):
         x = disjoint_circles()
-        ranks, boundaries = _coreduced_chains(x._face_masks(), 1, 6)
-        assert -1 not in ranks and ranks[0] > 0
+        ranks, boundaries = _morse_chains(x._face_masks(), 1, 6)
+        assert ranks == {-1: 1, 0: 2, 1: 2}
         assert _homology(ranks, boundaries) == HomologyGroups({0: 1, 1: 2})
 
     def test_empty_hom_poset_keeps_the_augmentation_cell(self):
         p = hom_poset(Digraph(2, [(0, 1)]), Digraph(3))
         assert len(p) == 0
-        assert _coreduced_chains(p._packed, 2, 3) == ({-1: 1}, {})
+        assert _morse_chains(p._packed, 2, 3) == ({-1: 1}, {})
         assert homology_of_poset(p) == HomologyGroups({-1: 1})
 
     def test_point_and_empty_and_void_complexes(self):
         p = hom_poset(Digraph(0), Digraph(2, [(0, 1)]))
-        assert len(p) == 1 and _coreduce(p._packed, 0, 2) == []
+        assert len(p) == 1
+        assert _morse_chains(p._packed, 0, 2) == ({-1: 1, 0: 1}, {0: {0: {0: 1}}})
         assert homology_of_poset(p).is_trivial
-        assert _homology(*_coreduced_chains([], 1, 1)) == HomologyGroups({-1: 1})
+        assert _homology(*_morse_chains([], 1, 1)) == HomologyGroups({-1: 1})
         assert reduced_homology(empty_complex()) == HomologyGroups({-1: 1})
         assert reduced_homology(void_complex()).is_trivial
 
@@ -484,10 +517,49 @@ class TestCoreduction:
         "g", [Digraph(5, [(0, 3), (1, 3), (2, 3)]), Digraph(4, [(0, 1)])]
     )
     def test_large_contractible_posets_leave_no_cell(self, g):
-        # 129,487 and 47,089 cells.  A stack in place of the FIFO queue
-        # stalls with about 14,000 survivors on each.
+        # 129,487 and 47,089 cells: one critical 0-cell over the
+        # augmentation cell, so no boundary matrix past degree 0.
         p = hom_poset(g, transitive_tournament(5))
-        assert _coreduce(p._packed, g.n, p._width) == []
+        assert _morse_chains(p._packed, g.n, p._width) == (
+            {-1: 1, 0: 1},
+            {0: {0: {0: 1}}},
+        )
+
+    def test_order_complex_of_a_product_of_face_posets_stays_small(self):
+        # q is the projective plane as the antipodal quotient of the
+        # octahedron's face poset: 3 + 6 + 4 classes, covers induced.  The
+        # order complex of q x q has 21,745 faces, and the coreduction this
+        # engine replaced kept 11,322 of them for Smith normal form.
+        q = antipodal_octahedron()
+        x = order_complex(poset_product(q, q))
+        cells = x._face_masks()
+        assert len(cells) == 21745
+        assert len(_element_matching(cells, 1, len(x.vertices))[0]) == 33
+        h = homology_of_poset(q)
+        assert h == HomologyGroups({}, {1: (2,)})
+        assert reduced_homology(x) == _kunneth([h, h])
+        assert _kunneth([h, h]) == HomologyGroups({}, {1: (2, 2), 2: (2,), 3: (2,)})
+
+
+def antipodal_octahedron() -> Poset:
+    """The face poset of the octahedron, a vertex ``(axis, sign)`` per
+    signed unit vector, with each face identified with its antipode: the
+    13 cells of a projective plane, ordered by size."""
+    vertices = [(a, s) for a in range(3) for s in (1, -1)]
+    faces = [
+        frozenset(f)
+        for k in (1, 2, 3)
+        for f in itertools.combinations(vertices, k)
+        if len({a for a, _ in f}) == k
+    ]
+
+    def cls(f):
+        return min(tuple(sorted(f)), tuple(sorted((a, -s) for a, s in f)))
+
+    classes = sorted({cls(f) for f in faces}, key=lambda c: (len(c), c))
+    covers = {(cls(f), cls(g)) for f in faces for g in faces if f < g and len(g) == len(f) + 1}
+    assert len(classes) == 13 and len(covers) == 24
+    return Poset.from_covers(classes, sorted(covers))
 
 
 class TestPosetHomology:
@@ -520,7 +592,7 @@ class TestKunneth:
         x = projective_plane()
         faces = x._face_masks()
         cells = sorted(a << 6 | b for a in faces for b in faces)
-        product = _homology(*_coreduced_chains(cells, 2, 6))
+        product = _homology(*_morse_chains(cells, 2, 6))
         # Tor(Z/2, Z/2) in degree 1 + 1 + 1.
         assert product == HomologyGroups({}, {1: (2, 2), 2: (2,), 3: (2,)})
         h = reduced_homology(x)
