@@ -4,7 +4,8 @@ Every reachability question the package asks goes through one of these:
 components of hom complexes and their one-skeleta, paths between
 homomorphisms, acyclicity of Morse matchings and of DAG sources, the peel
 levels of a DAG source and the height of a poset.  Most take
-adjacency lists; :func:`reach` takes one successor bitset per vertex.
+adjacency lists; :func:`reach` takes one successor bitset per vertex,
+from any indexable object, so the bitsets may be computed on demand.
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ def bfs_distances(adj: Sequence[Sequence[int]], start: int) -> list[int]:
     return dist
 
 
-def reach(adj: Sequence[int], start: int) -> int:
+def reach(adj: Sequence[int], start: int, goal: int | None = None) -> int:
     """The bitset of vertices reachable from ``start``, itself included,
-    when the successors of ``v`` are the set bits of ``adj[v]``."""
+    when the successors of ``v`` are the set bits of ``adj[v]``.
+
+    With a ``goal`` the search stops as soon as it reaches ``goal``: the
+    result then holds ``goal`` exactly when ``goal`` is reachable."""
     seen = todo = 1 << start
-    while todo:
+    stop = 0 if goal is None else 1 << goal
+    while todo and not seen & stop:
         low = todo & -todo
         todo ^= low
         new = adj[low.bit_length() - 1] & ~seen

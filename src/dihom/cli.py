@@ -27,6 +27,8 @@ import math
 import random
 import sys
 from collections import Counter
+from itertools import repeat
+from operator import and_
 from typing import Any, Sequence
 
 from . import __version__
@@ -318,7 +320,7 @@ def _cmd_reconfig(ns: argparse.Namespace) -> Any:
     edges = 0
     for s in range(0, g.n * ns.n, ns.n):
         if len(maps) + edges <= cap:
-            counts = Counter(c & ~((1 << ns.n) - 1 << s) for c in maps)
+            counts = Counter(map(and_, maps, repeat(~((1 << ns.n) - 1 << s))))
             edges += sum(m * (m - 1) // 2 for m in counts.values())
     if len(maps) + edges > cap:
         raise SizeCapExceeded(f"hom one-skeleton exceeds cap of {ns.cap} cells")

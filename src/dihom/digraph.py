@@ -14,7 +14,7 @@ objects.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _graph
 from .errors import (
@@ -259,9 +259,10 @@ def exponential(h: Digraph, g: Digraph, cap: int = DEFAULT_CAP) -> Digraph:
         raise SizeCapExceeded(
             f"exponential would have {count} vertices (limit {MAX_VERTICES})"
         )
-    maps = exponential_maps(h, g)
-    edges = [(i, j) for i, succ in enumerate(_arrows(g, h, maps)) for j in _bits(succ)]
-    return Digraph(count, edges)
+    width = max(h.n, 1)
+    cells = [_pack([1 << t for t in f.image], g.n, width) for f in exponential_maps(h, g)]
+    succ = _arrows(g, h, cells)
+    return Digraph(count, ((i, j) for i in range(count) for j in _bits(succ(i))))
 
 
 def exponential_maps(h: Digraph, g: Digraph) -> list[VertexMap]:
@@ -543,39 +544,50 @@ def _meet(memo: dict[int, int], nbrs: Sequence[int], mask: int) -> int:
     return x
 
 
-def _arrows(g: Digraph, h: Digraph, maps: Sequence[VertexMap]) -> list[int]:
-    """Successor bitsets of the arrows of ``h ** g`` among ``maps``.
+def _arrows(g: Digraph, h: Digraph, cells: Sequence[int]) -> Callable[[int], int]:
+    """The arrow rule of ``h ** g`` among the packed maps ``cells``: a
+    function taking ``k`` to the successor bitset of ``cells[k]``, computed
+    when asked.
 
-    Bit ``j`` of entry ``i`` is set when ``maps[i] -> maps[j]``, that is
+    Bit ``j`` of ``succ(k)`` is set when ``cells[k] -> cells[j]``, that is
     when ``(f(v), f2(w))`` is an edge of ``h`` for every edge ``(v, w)`` of
     ``g``.  With ``at[w][t]`` the bitset of maps taking value ``t`` at
     ``w``, the successors of ``f`` are the AND over ``w`` of the OR of
     ``at[w][t]`` over the common out-neighborhood of ``f``'s values on the
-    in-neighbors of ``w``: one pass over the maps, no per-pair test.  Maps
-    that agree on those in-neighbors share the OR, so it is memoized.  The
-    predecessors are the arrows of ``g.reverse()`` into ``h.reverse()``.
+    in-neighbors of ``w``: no per-pair test.  Maps that agree on those
+    in-neighbors share the OR, so it is memoized per head and allowed set;
+    nothing is kept per map.  The predecessors are the arrows of
+    ``g.reverse()`` into ``h.reverse()``.
     """
-    full = (1 << h.n) - 1
-    at = [[0] * h.n for _ in range(g.n)]
-    for j, f in enumerate(maps):
-        for w, t in enumerate(f.image):
-            at[w][t] |= 1 << j
+    width = max(h.n, 1)
+    block = (1 << width) - 1
+    shifts = _shifts(g.n, width)
     # A vertex with no in-neighbor constrains nothing.  Each other vertex
-    # keeps its in-neighbors, its ``at`` row and its memo of unions.
-    heads = [(list(_bits(g._in[w])), at[w], {}) for w in range(g.n) if g._in[w]]
-    everything = (1 << len(maps)) - 1
-    succ = []
-    for f in maps:
-        image, s = f.image, everything
-        for tails, by_value, memo in heads:
+    # keeps its in-neighbors' block offsets, its ``at`` row and its memo of
+    # unions.
+    heads = []
+    for w in range(g.n):
+        if g._in[w]:
+            at, s = [0] * h.n, shifts[w]
+            for k, c in enumerate(cells):
+                at[(c >> s & block).bit_length() - 1] |= 1 << k
+            heads.append(([shifts[v] for v in _bits(g._in[w])], at, {}))
+    full = (1 << h.n) - 1
+    everything = (1 << len(cells)) - 1
+    out = h._out
+
+    def succ(k: int) -> int:
+        c, s = cells[k], everything
+        for tails, at, memo in heads:
             allowed = full
-            for v in tails:
-                allowed &= h._out[image[v]]
+            for t in tails:
+                allowed &= out[(c >> t & block).bit_length() - 1]
             if (union := memo.get(allowed)) is None:
                 # The rows are disjoint, so their sum is their union.
-                union = memo[allowed] = sum(by_value[t] for t in _bits(allowed))
+                union = memo[allowed] = sum(at[t] for t in _bits(allowed))
             s &= union
-        succ.append(s)
+        return s
+
     return succ
 
 

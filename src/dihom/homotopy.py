@@ -17,14 +17,23 @@ edge ``(v, w)`` of ``G``:
 * *dihomotopic*: joined by a directed path (a preorder, not symmetric);
 * *line-homotopic*: joined by a path of arrows ignoring direction.
 
-The arrows are computed once, as one successor bitset per homomorphism in
-a single pass over the maps (``digraph._arrows``), and the predecessors as
-the arrows of the reversed pair.  The mutual arrows are their AND, the
-arrows either way their OR, and every question above is one bitset
-reachability search (``_graph.reach``).
+The homomorphisms stay the packed 0-cells of the hom complex, in
+ascending order.  The arrows out of a map are read when a search asks for
+them, as one successor bitset (``digraph._arrows``), and its predecessors
+as the arrows of the reversed pair.  The mutual arrows are their AND, the
+arrows either way their OR.  Whether ``f`` and ``g`` are related is one
+bitset reachability search from ``f`` that stops once it reaches ``g``
+(``_graph.reach``); no relation is kept for all pairs of maps.  Only
+:func:`homotopy_classes`, which needs the whole relation, lists a
+successor bitset per map.
 """
 
 from __future__ import annotations
+
+import functools
+from bisect import bisect_left
+from operator import and_, or_
+from typing import Callable
 
 from . import _graph
 from .digraph import (
@@ -35,6 +44,7 @@ from .digraph import (
     _bits,
     _decode_maps,
     _multihoms,
+    _pack,
     induced_subgraph,
     is_homomorphism,
 )
@@ -113,44 +123,66 @@ def _require_hom(f: VertexMap, g: Digraph, h: Digraph) -> None:
         raise NotAHomomorphism(f"{f!r} is not a homomorphism")
 
 
-class _HomRelations:
-    """The homomorphisms ``g -> h`` and the arrows between them, built once
-    and then queried for any of the three relations.
+class _OnDemand:
+    """Successor bitsets for :func:`_graph.reach`, computed as the search
+    asks: ``self[k]`` is ``rule(k)``."""
 
-    Each relation is one successor bitset per map over map indices: ``di``
-    the arrows, ``bi`` the mutual arrows, ``line`` the arrows either way.
-    With ``cap`` the search stops after ``cap + 1`` maps and raises
-    :class:`SizeCapExceeded` when there are more than ``cap``."""
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: Callable[[int], int]):
+        self.rule = rule
+
+    def __getitem__(self, k: int) -> int:
+        return self.rule(k)
+
+
+class _HomRelations:
+    """The homomorphisms ``g -> h`` as ascending packed 0-cells, and the
+    arrow rules between them, queried for any of the three relations.
+
+    ``succ(k)`` and ``pred(k)`` are the arrows out of and into map ``k`` as
+    bitsets over map indices, computed when asked and not kept.  A query
+    locates its two maps by bisection and searches from the first along
+    ``succ`` (``di``), ``succ & pred`` (``bi``) or ``succ | pred``
+    (``line``), stopping once it reaches the second.  ``maps`` decodes the
+    cells the first time it is read.  With ``cap`` the enumeration stops
+    after ``cap + 1`` maps and raises :class:`SizeCapExceeded` when there
+    are more than ``cap``."""
 
     def __init__(self, g: Digraph, h: Digraph, cap: int | None = None):
         self.source, self.target = g, h
         limit = None if cap is None else max(cap, 0) + 1
-        cells = _multihoms(g, h, max_dim=0, limit=limit)
-        if cap is not None and len(cells) > max(cap, 0):
+        self.cells = _multihoms(g, h, max_dim=0, limit=limit)
+        if cap is not None and len(self.cells) > max(cap, 0):
             raise SizeCapExceeded(f"homotopy: hom set exceeds cap of {cap} maps")
-        self.maps = _decode_maps(cells, g.n, max(h.n, 1))
-        self.index = {f: i for i, f in enumerate(self.maps)}
         # Every homomorphism has an arrow to itself; such loops change no
         # reachability, so the bitsets keep them.
-        succ = _arrows(g, h, self.maps)
-        pred = _arrows(g.reverse(), h.reverse(), self.maps)
-        self.di_adj = succ
-        self.bi_adj = [s & p for s, p in zip(succ, pred)]
-        self.line_adj = [s | p for s, p in zip(succ, pred)]
+        self.succ = _arrows(g, h, self.cells)
+        self.pred = _arrows(g.reverse(), h.reverse(), self.cells)
 
-    def _joined(self, adj: list[int], f: VertexMap, g: VertexMap) -> bool:
-        for m in (f, g):
-            _require_hom(m, self.source, self.target)
-        return bool(_graph.reach(adj, self.index[f]) >> self.index[g] & 1)
+    @functools.cached_property
+    def maps(self) -> list[VertexMap]:
+        return _decode_maps(self.cells, self.source.n, max(self.target.n, 1))
+
+    def _locate(self, f: VertexMap) -> int:
+        _require_hom(f, self.source, self.target)
+        cell = _pack([1 << t for t in f.image], self.source.n, max(self.target.n, 1))
+        return bisect_left(self.cells, cell)
+
+    def _joined(self, rule: Callable[[int], int], f: VertexMap, g: VertexMap) -> bool:
+        i, j = self._locate(f), self._locate(g)
+        return bool(_graph.reach(_OnDemand(rule), i, j) >> j & 1)
 
     def bihomotopic(self, f: VertexMap, g: VertexMap) -> bool:
-        return self._joined(self.bi_adj, f, g)
+        succ, pred = self.succ, self.pred
+        return self._joined(lambda k: succ(k) & pred(k), f, g)
 
     def dihomotopic(self, f: VertexMap, g: VertexMap) -> bool:
-        return self._joined(self.di_adj, f, g)
+        return self._joined(self.succ, f, g)
 
     def line_homotopic(self, f: VertexMap, g: VertexMap) -> bool:
-        return self._joined(self.line_adj, f, g)
+        succ, pred = self.succ, self.pred
+        return self._joined(lambda k: succ(k) | pred(k), f, g)
 
 
 def bihomotopic(f: VertexMap, g: VertexMap, source: Digraph, target: Digraph) -> bool:
@@ -212,21 +244,26 @@ def homotopy_classes(
     if relation not in ("bi", "di", "line"):
         raise InvalidVariant(f"unknown relation {relation!r}")
     rel = _HomRelations(source, target)
-    adj = rel.bi_adj if relation == "bi" else rel.line_adj
+    maps = rel.maps
+    # Every class, and the preorder, asks for every map's arrows, so here
+    # alone they are listed once.
+    succ = list(map(rel.succ, range(len(maps))))
+    pred = map(rel.pred, range(len(maps)))
+    adj = list(map(and_ if relation == "bi" else or_, succ, pred))
     # Both relations are symmetric, so each class is what its least
     # unvisited map reaches; the maps are in lexicographic order, so the
     # classes are sorted by their least map.
     classes = []
-    left = (1 << len(rel.maps)) - 1
+    left = (1 << len(maps)) - 1
     while left:
         c = _graph.reach(adj, (left & -left).bit_length() - 1)
-        classes.append(frozenset(rel.maps[i] for i in _bits(c)))
+        classes.append(frozenset(maps[i] for i in _bits(c)))
         left &= ~c
     preorder = None
     if relation == "di":
         preorder = tuple(
-            (f, rel.maps[j])
-            for i, f in enumerate(rel.maps)
-            for j in _bits(_graph.reach(rel.di_adj, i))
+            (f, maps[j])
+            for i, f in enumerate(maps)
+            for j in _bits(_graph.reach(succ, i))
         )
     return HomotopyClasses(relation, tuple(classes), preorder)

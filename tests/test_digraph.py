@@ -387,13 +387,17 @@ class TestMultihomSearch:
             ]
             for f in maps
         ]
-        assert [list(_bits(s)) for s in _arrows(g, h, maps)] == expected
+        # The rule reads packed maps, which ascend in the same order.
+        cells = [_pack([1 << t for t in f.image], g.n, max(h.n, 1)) for f in maps]
+        assert cells == sorted(cells)
+        succ = _arrows(g, h, cells)
+        assert [list(_bits(succ(k))) for k in range(len(cells))] == expected
         # The reversed pair gives the transposed relation: the predecessors.
         transposed = [
             [i for i, js in enumerate(expected) if j in js] for j in range(len(maps))
         ]
-        pred = _arrows(g.reverse(), h.reverse(), maps)
-        assert [list(_bits(s)) for s in pred] == transposed
+        pred = _arrows(g.reverse(), h.reverse(), cells)
+        assert [list(_bits(pred(k))) for k in range(len(cells))] == transposed
 
     def test_faces_drop_one_member_of_a_doubled_block(self):
         # Two 3-bit blocks, vertex 0 high: [{1, 2}, {0, 1}] and [{2}, {0}].

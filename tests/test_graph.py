@@ -51,6 +51,8 @@ def test_bfs_distances_are_shortest_path_lengths(succ):
         assert dist[s] == 0
         for v in range(len(succ)):
             assert (dist[v] >= 0) == (v == s or paths[s][v]) == bool(reached >> v & 1)
+            # A search that stops at ``v`` finds it exactly when it is reachable.
+            assert bool(reach(masks, s, v) >> v & 1) == (dist[v] >= 0)
         # Distances are shortest: no arc shortcuts them, and every reached
         # vertex but the start has a predecessor one step closer.
         for u, ws in enumerate(succ):

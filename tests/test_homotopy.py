@@ -1,5 +1,8 @@
 """Tests for folds, stiff reductions, and the three homotopy relations."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -28,9 +31,10 @@ from dihom import (
 )
 
 from dihom._graph import bfs_distances
+from dihom.digraph import _bits
 from dihom.homotopy import _HomRelations
 
-from conftest import brute_force_homs, digraphs, random_digraph
+from conftest import brute_force_homs, circulant, digraphs, random_digraph
 
 
 def looped_clique(n: int) -> Digraph:
@@ -282,6 +286,12 @@ class TestRelationsMatchAllPairs:
         }
         rel = _HomRelations(g, h)
         assert rel.maps == maps
+        # The packed rules give the arrows out of and into each map.
+        succ = [set(_bits(rel.succ(k))) for k in range(len(maps))]
+        pred = [set(_bits(rel.pred(k))) for k in range(len(maps))]
+        assert [sorted(s & p) for s, p in zip(succ, pred)] == adj["bi"]
+        assert [sorted(s) for s in succ] == adj["di"]
+        assert [sorted(s | p) for s, p in zip(succ, pred)] == adj["line"]
         for i, f in enumerate(maps):
             for j, m in enumerate(maps):
                 assert rel.bihomotopic(f, m) == reached["bi"][i][j]
@@ -308,3 +318,67 @@ class TestRelationsMatchAllPairs:
                 )
             else:
                 assert hc.preorder is None
+
+
+class TestProductRule:
+    """Hom(G1 + G2, H) = Hom(G1, H) x Hom(G2, H), and every map has an arrow
+    to itself, so one factor can wait while the other moves: a relation
+    holds on a coproduct exactly when it holds on both factors."""
+
+    # Looped, with even shifts only: two classes per factor, so a pair of
+    # maps of the coproduct is related exactly when both factors are.
+    target = circulant(12, (0, 2, 4, 6))
+    arc = Digraph(2, [(0, 1)])
+    two_arcs = Digraph(4, [(0, 1), (2, 3)])
+
+    def test_relations_on_two_arcs_follow_the_factors(self):
+        maps, adj = reference_relations(self.arc, self.target)
+        index = {f: i for i, f in enumerate(maps)}
+        reached = {
+            r: [[d >= 0 for d in bfs_distances(a, i)] for i in range(len(maps))]
+            for r, a in adj.items()
+        }
+
+        def expected(r, f, g):
+            # The restrictions to the first arc, then to the second.
+            return all(
+                reached[r][index[VertexMap(f.image[v : v + 2])]][
+                    index[VertexMap(g.image[v : v + 2])]
+                ]
+                for v in (0, 2)
+            )
+
+        def product_map(rng):
+            return VertexMap(rng.choice(maps).image + rng.choice(maps).image)
+
+        rel = _HomRelations(self.two_arcs, self.target)
+        assert len(rel.cells) == len(maps) ** 2 == 2304
+        rng = random.Random(0)
+        answers = set()
+        for _ in range(25):
+            f, g = product_map(rng), product_map(rng)
+            for r, ask in (
+                ("bi", rel.bihomotopic),
+                ("di", rel.dihomotopic),
+                ("line", rel.line_homotopic),
+            ):
+                assert ask(f, g) == expected(r, f, g)
+                answers.add(ask(f, g))
+            assert rel.dihomotopic(g, f) == expected("di", g, f)
+        assert answers == {True, False}
+
+    def test_peak_memory_stays_below_the_all_pairs_bitsets(self):
+        # Three successor bitsets of 2304 bits for each of 2304 maps are
+        # about 3.4 MB at their peak; reading the arrows on demand peaked at
+        # about 0.13 MB.
+        f, g = VertexMap([0, 0, 0, 0]), VertexMap([11, 11, 1, 1])
+        tracemalloc.start()
+        try:
+            rel = _HomRelations(self.two_arcs, self.target)
+            assert not rel.bihomotopic(f, g)
+            assert not rel.dihomotopic(f, g)
+            assert not rel.line_homotopic(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
