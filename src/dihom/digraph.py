@@ -442,24 +442,31 @@ def _multihoms(
     ties.  Each set is packed at its vertex's own block, and one sort
     restores the ascending order.
 
-    For every cell a vertex walks each admissible subset of its allowed
-    values, for the 0-cells each single value in ascending order.  In both
-    modes the last vertex of the order makes no call per cell: its sets
-    are appended straight to the cell list, one at a time until ``limit``.
+    A search node is a position of the order with its allowed values, and
+    it checks forward to the next position: first it meets that vertex's
+    other placed neighbors once, then for every cell it drops each single
+    value under which the next allowed set is empty, since every set
+    holding that value leaves it empty too.  For every cell a node walks
+    each subset of the values left, for the 0-cells each single value in
+    ascending order; each set meets the next allowed set with one lookup
+    per arc to the next vertex, and only a nonempty one is handed down.
+    The last vertex of the order makes no call: its single values go
+    straight into the cell list, and for every cell its sets come from a
+    memo per allowed set, each list built at most up to the cells
+    ``limit`` still leaves, and go in with one ``extend``.
     """
     n = g.n
     if not n:
         return [0]  # the one empty map
+    if not (limit and limit > 0):
+        limit = None
     full = (1 << h.n) - 1
     shifts = _shifts(n, max(h.n, 1))
-    looped = _mask_of(t for t in range(h.n) if h._out[t] >> t & 1)
-    # The common out- and in-neighborhoods in ``h`` of the value sets met
-    # so far, read inline; the empty set's is every vertex.
-    co, ci = {0: full}, {0: full}
+    out, inn = h._out, h._in
+    looped = _mask_of(t for t in range(h.n) if out[t] >> t & 1)
     adj = [(o | i) & ~(1 << v) for v, (o, i) in enumerate(zip(g._out, g._in))]
-    # Per position of the search order: the vertex, its block offset,
-    # whether it is looped, and its placed in- and out-neighbors.
-    steps = []
+    start = [looped if o >> v & 1 else full for v, o in enumerate(g._out)]
+    order = []
     placed = 0
     rest = set(range(n))
     while rest:
@@ -468,66 +475,146 @@ def _multihoms(
             key=lambda v: (-(adj[v] & placed).bit_count(), -adj[v].bit_count(), v),
         )
         rest.remove(v)
-        ins, outs = tuple(_bits(g._in[v] & placed)), tuple(_bits(g._out[v] & placed))
-        steps.append((v, shifts[v], bool(g._out[v] >> v & 1), ins, outs))
+        order.append(v)
         placed |= 1 << v
+    # Per position before the last: the vertex, its block offset and
+    # whether it is looped; then, for the next vertex ``w``, its values
+    # before any neighbor, its in- and out-neighbors placed before this
+    # position, and whether the arcs ``v -> w`` and ``w -> v`` exist.
+    steps = []
+    placed = 0
+    for v, w in zip(order, order[1:]):
+        steps.append(
+            (
+                v,
+                shifts[v],
+                bool(g._out[v] >> v & 1),
+                start[w],
+                tuple(_bits(g._in[w] & placed)),
+                tuple(_bits(g._out[w] & placed)),
+                bool(g._out[v] >> w & 1),
+                bool(g._in[v] >> w & 1),
+            )
+        )
+        placed |= 1 << v
+    last = order[-1]
+    tail_shift, tail_loop = shifts[last], bool(g._out[last] >> last & 1)
+
+    def tails(allowed: int, room: int | None) -> list[int]:
+        """The sets of the last vertex inside ``allowed``, cliques when it
+        is looped, ascending and at its block: at most ``room`` of them."""
+        subs = [0]
+        while allowed and not (room and len(subs) > room):
+            b = allowed & -allowed
+            allowed ^= b
+            t = b.bit_length() - 1
+            b <<= tail_shift
+            if tail_loop:
+                # A clique of looped values grows by a value that points
+                # both ways at each of its members.
+                both = (out[t] & inn[t]) << tail_shift
+                subs += [s | b for s in subs if not s & ~both]
+            else:
+                subs += [s | b for s in subs]
+        return subs[1 : room + 1 if room else None]
+
+    if n == 1:
+        if max_dim == 0:
+            return [1 << t for t in _bits(start[last])][:limit]
+        return tails(start[last], limit)
+    # The common out- and in-neighborhoods in ``h`` of the value sets met
+    # so far, read inline: the empty set's is every vertex, and the single
+    # values' are there from the start.
+    co = {0: full, **{1 << t: m for t, m in enumerate(out)}}
+    ci = {0: full, **{1 << t: m for t, m in enumerate(inn)}}
     cells: list[int] = []
     masks = [0] * n
-    last = n - 1
+    memo: dict[int, list[int]] = {}
+    end = n - 2
 
-    def rec(i: int, acc: int) -> bool:
-        """Extend the first ``i`` placements, packed in ``acc``; True once
-        ``limit`` is hit."""
-        v, shift, loop, ins, outs = steps[i]
-        allowed = looped if loop else full
+    def rec(i: int, acc: int, allowed: int) -> bool:
+        """Extend the first ``i`` placements, packed in ``acc``, by the
+        sets of position ``i`` inside ``allowed``; True once ``limit`` is
+        hit."""
+        v, shift, loop, base, ins, outs, fwd, bwd = steps[i]
+        # The next vertex's values that its placed neighbors other than
+        # ``v`` allow.
         for u in ins:
             if (x := co.get(masks[u])) is None:
-                x = _meet(co, h._out, masks[u])
-            allowed &= x
+                x = _meet(co, out, masks[u])
+            base &= x
         for u in outs:
             if (x := ci.get(masks[u])) is None:
-                x = _meet(ci, h._in, masks[u])
-            allowed &= x
+                x = _meet(ci, inn, masks[u])
+            base &= x
+        if not base:
+            return False
         if max_dim == 0:
             # A looped vertex only allows looped values, so a single value
             # needs no clique test.
             while s := allowed & -allowed:
                 allowed ^= s
-                if i == last:
-                    cells.append(acc | s << shift)
-                    if len(cells) == limit:
+                nxt = base
+                if fwd:
+                    nxt &= co[s]
+                if bwd:
+                    nxt &= ci[s]
+                if not nxt:
+                    continue
+                if i == end:
+                    a = acc | s << shift
+                    while t := nxt & -nxt:
+                        nxt ^= t
+                        cells.append(a | t << tail_shift)
+                    if limit and len(cells) >= limit:
+                        del cells[limit:]
                         return True
                 else:
                     masks[v] = s
-                    if rec(i + 1, acc | s << shift):
+                    if rec(i + 1, acc | s << shift, nxt):
                         return True
             return False
+        if fwd or bwd:
+            # A value that empties the next set is dead, and so is every
+            # set holding it.
+            rest = allowed
+            while x := rest & -rest:
+                rest ^= x
+                if not (base & (co[x] if fwd else full) & (ci[x] if bwd else full)):
+                    allowed ^= x
         # A looped vertex's set must be a clique of looped values: inside
         # its own common out-neighborhood.
         s = 0
-        if i == last:
-            while s := (s - allowed) & allowed:
-                if loop:
-                    if (x := co.get(s)) is None:
-                        x = _meet(co, h._out, s)
-                    if s & ~x:
-                        continue
-                cells.append(acc | s << shift)
-                if len(cells) == limit:
-                    return True
-            return False
         while s := (s - allowed) & allowed:
-            if loop:
+            nxt = base
+            if loop or fwd:
                 if (x := co.get(s)) is None:
-                    x = _meet(co, h._out, s)
-                if s & ~x:
+                    x = _meet(co, out, s)
+                if loop and s & ~x:
                     continue
-            masks[v] = s
-            if rec(i + 1, acc | s << shift):
-                return True
+                if fwd:
+                    nxt &= x
+            if bwd:
+                if (x := ci.get(s)) is None:
+                    x = _meet(ci, inn, s)
+                nxt &= x
+            if not nxt:
+                continue
+            if i == end:
+                if (subs := memo.get(nxt)) is None:
+                    room = limit - len(cells) if limit else None
+                    subs = memo[nxt] = tails(nxt, room)
+                cells.extend(map((acc | s << shift).__or__, subs))
+                if limit and len(cells) >= limit:
+                    del cells[limit:]
+                    return True
+            else:
+                masks[v] = s
+                if rec(i + 1, acc | s << shift, nxt):
+                    return True
         return False
 
-    rec(0, 0)
+    rec(0, 0, start[order[0]])
     cells.sort()
     return cells
 
@@ -568,9 +655,13 @@ def _arrows(g: Digraph, h: Digraph, cells: Sequence[int]) -> Callable[[int], int
     heads = []
     for w in range(g.n):
         if g._in[w]:
-            at, s = [0] * h.n, shifts[w]
-            for k, c in enumerate(cells):
-                at[(c >> s & block).bit_length() - 1] |= 1 << k
+            s = shifts[w]
+            # Byte k is map k's value at ``w``, last map first, so each row
+            # is one translation to binary digits: linear in the maps.
+            values = bytes([(c >> s & block).bit_length() - 1 for c in reversed(cells)])
+            at = [0] * h.n
+            for t in set(values):
+                at[t] = int(values.translate(b"0" * t + b"1" + b"0" * (255 - t)), 2)
             heads.append(([shifts[v] for v in _bits(g._in[w])], at, {}))
     full = (1 << h.n) - 1
     everything = (1 << len(cells)) - 1

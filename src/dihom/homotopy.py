@@ -142,7 +142,8 @@ class _HomRelations:
 
     ``succ(k)`` and ``pred(k)`` are the arrows out of and into map ``k`` as
     bitsets over map indices, computed when asked and not kept.  A query
-    locates its two maps by bisection and searches from the first along
+    locates its two maps by bisection, each map checked and located once
+    per instance, and searches from the first along
     ``succ`` (``di``), ``succ & pred`` (``bi``) or ``succ | pred``
     (``line``), stopping once it reaches the second.  ``maps`` decodes the
     cells the first time it is read.  With ``cap`` the enumeration stops
@@ -159,15 +160,20 @@ class _HomRelations:
         # reachability, so the bitsets keep them.
         self.succ = _arrows(g, h, self.cells)
         self.pred = _arrows(g.reverse(), h.reverse(), self.cells)
+        # The index of each map a query has located: a map is checked once.
+        self._located: dict[VertexMap, int] = {}
 
     @functools.cached_property
     def maps(self) -> list[VertexMap]:
         return _decode_maps(self.cells, self.source.n, max(self.target.n, 1))
 
     def _locate(self, f: VertexMap) -> int:
-        _require_hom(f, self.source, self.target)
-        cell = _pack([1 << t for t in f.image], self.source.n, max(self.target.n, 1))
-        return bisect_left(self.cells, cell)
+        if (i := self._located.get(f)) is None:
+            _require_hom(f, self.source, self.target)
+            n, w = self.source.n, max(self.target.n, 1)
+            cell = _pack([1 << t for t in f.image], n, w)
+            i = self._located[f] = bisect_left(self.cells, cell)
+        return i
 
     def _joined(self, rule: Callable[[int], int], f: VertexMap, g: VertexMap) -> bool:
         i, j = self._locate(f), self._locate(g)

@@ -375,16 +375,19 @@ def tournament_matching(
     uppers: list[int] = []
     lowers: list[int] = []
     live = poset._packed
+    upper, lower = uppers.append, lowers.append
     for a, bit in stages:
-        offset = offsets[a]
+        # The block of vertex ``a`` and its stage bit, both in place.
+        block, e = full << offsets[a], bit << offsets[a]
         survivors = []
+        survive = survivors.append
         for c in live:
-            mask = c >> offset & full
-            if mask == bit:
-                survivors.append(c)
-            elif mask & bit:
-                uppers.append(c)
-                lowers.append(c ^ bit << offset)
+            b = c & block
+            if b == e:
+                survive(c)
+            elif b & e:
+                upper(c)
+                lower(c ^ e)
             # cells without the bit are exactly the lowers added above
         live = survivors
     # A hom poset is closed under faces, so every lower cell formed is one

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from dihom import (
     InvalidVertex,
     MalformedPartition,
     ShapeMismatch,
+    SimplicialComplex,
     SizeCapExceeded,
     VertexMap,
     complete_bipartite_digraph,
@@ -32,6 +35,7 @@ from dihom import (
     quotient,
     transitive_tournament,
     underlying_symmetrization,
+    universality_graph,
 )
 from dihom.digraph import _arrows, _bits, _faces, _multihoms, _pack, _unpack
 from dihom.homcomplex import _skeleton
@@ -83,9 +87,11 @@ def search(g: Digraph, h: Digraph, **kwargs) -> list[tuple[int, ...]]:
 
 def search_nodes(g: Digraph, h: Digraph) -> tuple[int, int]:
     """The number of calls of ``_multihoms``'s inner ``rec`` and the number
-    of cells, counted with a profile hook.  ``rec`` runs once per search
-    node above the last position of the search order: unbounded, the last
-    vertex's sets go straight into the cells, so leaves make no call."""
+    of cells, counted with a profile hook.  One call is one search node: a
+    position before the last of the search order, with the prefix placed
+    before it and a nonempty allowed set that its parent's forward check
+    left.  The last vertex's sets go straight into the cells, so neither
+    they nor a set whose next allowed set is empty make a call."""
     consts = _multihoms.__code__.co_consts
     rec = next(c for c in consts if getattr(c, "co_name", "") == "rec")
     nodes = 0
@@ -114,6 +120,18 @@ def star(centre: int, out: bool) -> Digraph:
 # A fan whose centre has the top label, and its forward-labelled copy.
 FAN = Digraph(5, [(1, 4), (4, 2), (4, 3)])
 FORWARD_FAN = Digraph(5, [(0, 1), (1, 2), (1, 3)])
+
+# The 16-vertex digraph whose out-neighbourhood complex is the 6-vertex
+# projective plane: ten apex vertices, each pointing at one triangle.
+H16 = universality_graph(
+    SimplicialComplex(
+        range(6),
+        [
+            (0, 1, 2), (0, 2, 3), (0, 1, 5), (0, 3, 4), (0, 4, 5),
+            (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5),
+        ],
+    )
+)
 
 
 class TestDigraph:
@@ -374,6 +392,19 @@ class TestMultihomSearch:
         cells = _multihoms(Digraph(1), Digraph(64), max_dim=0, limit=5)
         assert cells == [1, 2, 4, 8, 16]
 
+    def test_limit_caps_the_last_vertex_list(self):
+        # The arc's head may take any of the 2**24 - 1 sets once its tail
+        # has one value: the list of them stops at the five still wanted.
+        k24 = Digraph(24, itertools.product(range(24), repeat=2))
+        tracemalloc.start()
+        try:
+            cells = _multihoms(Digraph(2, [(0, 1)]), k24, limit=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells == [1 << 24 | s for s in range(1, 6)]
+        assert peak < 50_000
+
     @settings(max_examples=80, deadline=None)
     @given(small_digraphs, small_digraphs)
     @edge_cases
@@ -417,6 +448,21 @@ class TestSearchOrder:
         nodes, cells = search_nodes(FAN, transitive_tournament(6))
         assert cells == 35_343
         assert nodes < cells
+
+    def test_forward_check_prunes_the_sets_of_a_tail(self):
+        # The arc's tail has 2**16 - 1 sets, but only 151 have a common
+        # out-neighbour: two disjoint arcs are the product of one arc's
+        # 241 cells with itself, found in fewer nodes than cells.
+        one = _multihoms(Digraph(2, [(0, 1)]), H16)
+        assert len(one) == 241
+        two_arcs = Digraph(4, [(0, 1), (2, 3)])
+        start = time.perf_counter()
+        cells = _multihoms(two_arcs, H16)
+        assert time.perf_counter() - start < 0.5
+        assert cells == [a << 32 | b for a in one for b in one]
+        nodes, count = search_nodes(two_arcs, H16)
+        assert count == 58_081
+        assert nodes <= count
 
     @pytest.mark.parametrize(
         "g, forward, n",

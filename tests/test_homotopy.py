@@ -23,6 +23,7 @@ from dihom import (
     homotopy_classes,
     homotopy_witness_pair,
     is_dismantlable,
+    is_homomorphism,
     is_isomorphic,
     is_stiff,
     line_homotopic,
@@ -165,6 +166,29 @@ class TestHomotopyRelations:
             dihomotopic(self.f, bad, self.g, self.h)
         with pytest.raises(NotAHomomorphism):
             line_homotopic(bad, bad, self.g, self.h)
+
+    def test_each_map_is_checked_once(self, monkeypatch):
+        # The four questions of `dihom homotopy` on one instance check each
+        # of their two maps once; a bad map is never remembered, so every
+        # question that names it raises.
+        checked = []
+
+        def counting(f, g, h):
+            checked.append(f)
+            return is_homomorphism(f, g, h)
+
+        rel = _HomRelations(self.g, self.h)
+        monkeypatch.setattr("dihom.homotopy.is_homomorphism", counting)
+        assert rel.dihomotopic(self.f, self.fw)
+        assert not rel.dihomotopic(self.fw, self.f)
+        assert not rel.bihomotopic(self.f, self.fw)
+        assert rel.line_homotopic(self.f, self.fw)
+        assert checked == [self.f, self.fw]
+        bad = VertexMap([0, 0])
+        for _ in range(2):
+            with pytest.raises(NotAHomomorphism):
+                rel.dihomotopic(bad, self.f)
+        assert checked == [self.f, self.fw, bad, bad]
 
 
 class TestHomotopyClasses:
