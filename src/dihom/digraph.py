@@ -25,6 +25,7 @@ from .errors import (
     SizeCapExceeded,
 )
 
+# ``_arrows`` keeps one value per byte, so this stays at most 256.
 MAX_VERTICES = 64
 DEFAULT_CAP = 10**6
 
@@ -450,10 +451,9 @@ def _multihoms(
     each subset of the values left, for the 0-cells each single value in
     ascending order; each set meets the next allowed set with one lookup
     per arc to the next vertex, and only a nonempty one is handed down.
-    The last vertex of the order makes no call: its single values go
-    straight into the cell list, and for every cell its sets come from a
-    memo per allowed set, each list built at most up to the cells
-    ``limit`` still leaves, and go in with one ``extend``.
+    The last vertex of the order makes no call: its single values, and
+    for every cell its sets, go into the cell list as they are walked, and
+    the walk tests each cell against ``limit`` only when it could pass it.
     """
     n = g.n
     if not n:
@@ -499,37 +499,37 @@ def _multihoms(
         placed |= 1 << v
     last = order[-1]
     tail_shift, tail_loop = shifts[last], bool(g._out[last] >> last & 1)
-
-    def tails(allowed: int, room: int | None) -> list[int]:
-        """The sets of the last vertex inside ``allowed``, cliques when it
-        is looped, ascending and at its block: at most ``room`` of them."""
-        subs = [0]
-        while allowed and not (room and len(subs) > room):
-            b = allowed & -allowed
-            allowed ^= b
-            t = b.bit_length() - 1
-            b <<= tail_shift
-            if tail_loop:
-                # A clique of looped values grows by a value that points
-                # both ways at each of its members.
-                both = (out[t] & inn[t]) << tail_shift
-                subs += [s | b for s in subs if not s & ~both]
-            else:
-                subs += [s | b for s in subs]
-        return subs[1 : room + 1 if room else None]
-
-    if n == 1:
-        if max_dim == 0:
-            return [1 << t for t in _bits(start[last])][:limit]
-        return tails(start[last], limit)
+    if n == 1 and max_dim == 0:
+        return [1 << t for t in _bits(start[last])][:limit]
     # The common out- and in-neighborhoods in ``h`` of the value sets met
     # so far, read inline: the empty set's is every vertex, and the single
     # values' are there from the start.
     co = {0: full, **{1 << t: m for t, m in enumerate(out)}}
     ci = {0: full, **{1 << t: m for t, m in enumerate(inn)}}
     cells: list[int] = []
+
+    def emit(acc: int, allowed: int) -> bool:
+        """Append ``acc`` joined with each set of the last vertex inside
+        ``allowed``, a clique when that vertex is looped; True once
+        ``limit`` is hit."""
+        # A walk that cannot reach ``limit`` skips the per-cell test.
+        count = limit and len(cells) + (1 << allowed.bit_count()) > limit
+        s = 0
+        while s := (s - allowed) & allowed:
+            if tail_loop:
+                if (x := co.get(s)) is None:
+                    x = _meet(co, out, s)
+                if s & ~x:
+                    continue
+            cells.append(acc | s << tail_shift)
+            if count and len(cells) == limit:
+                return True
+        return False
+
+    if n == 1:
+        emit(0, start[last])
+        return cells
     masks = [0] * n
-    memo: dict[int, list[int]] = {}
     end = n - 2
 
     def rec(i: int, acc: int, allowed: int) -> bool:
@@ -601,12 +601,7 @@ def _multihoms(
             if not nxt:
                 continue
             if i == end:
-                if (subs := memo.get(nxt)) is None:
-                    room = limit - len(cells) if limit else None
-                    subs = memo[nxt] = tails(nxt, room)
-                cells.extend(map((acc | s << shift).__or__, subs))
-                if limit and len(cells) >= limit:
-                    del cells[limit:]
+                if emit(acc | s << shift, nxt):
                     return True
             else:
                 masks[v] = s
@@ -657,7 +652,8 @@ def _arrows(g: Digraph, h: Digraph, cells: Sequence[int]) -> Callable[[int], int
         if g._in[w]:
             s = shifts[w]
             # Byte k is map k's value at ``w``, last map first, so each row
-            # is one translation to binary digits: linear in the maps.
+            # is one translation to binary digits: linear in the maps.  A
+            # value fits in a byte as ``MAX_VERTICES <= 256``.
             values = bytes([(c >> s & block).bit_length() - 1 for c in reversed(cells)])
             at = [0] * h.n
             for t in set(values):

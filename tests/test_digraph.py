@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-import time
 import tracemalloc
 
 import pytest
@@ -392,9 +391,9 @@ class TestMultihomSearch:
         cells = _multihoms(Digraph(1), Digraph(64), max_dim=0, limit=5)
         assert cells == [1, 2, 4, 8, 16]
 
-    def test_limit_caps_the_last_vertex_list(self):
+    def test_limit_stops_the_last_vertex_walk(self):
         # The arc's head may take any of the 2**24 - 1 sets once its tail
-        # has one value: the list of them stops at the five still wanted.
+        # has one value: the walk of them stops at the five still wanted.
         k24 = Digraph(24, itertools.product(range(24), repeat=2))
         tracemalloc.start()
         try:
@@ -452,13 +451,12 @@ class TestSearchOrder:
     def test_forward_check_prunes_the_sets_of_a_tail(self):
         # The arc's tail has 2**16 - 1 sets, but only 151 have a common
         # out-neighbour: two disjoint arcs are the product of one arc's
-        # 241 cells with itself, found in fewer nodes than cells.
+        # 241 cells with itself, found in fewer nodes than cells.  Walking
+        # every set of each tail made 15,859,712 nodes.
         one = _multihoms(Digraph(2, [(0, 1)]), H16)
         assert len(one) == 241
         two_arcs = Digraph(4, [(0, 1), (2, 3)])
-        start = time.perf_counter()
         cells = _multihoms(two_arcs, H16)
-        assert time.perf_counter() - start < 0.5
         assert cells == [a << 32 | b for a in one for b in one]
         nodes, count = search_nodes(two_arcs, H16)
         assert count == 58_081
