@@ -7,7 +7,10 @@ Graphs travel as small JSON documents::
 ``labels`` is optional and purely cosmetic.  All subcommands print a JSON
 object by default (``--format table`` renders the same data as aligned
 text); given identical inputs and flags the output is byte-identical
-between runs.
+between runs.  The JSON is indented by two spaces, has its keys sorted,
+escapes every non-ASCII character and ends in a newline: it is exactly
+``json.dumps(obj, indent=2, sort_keys=True) + "\n"``, as is the text of
+:func:`emit_digraph`.
 
 Exit codes: 0 on success, 1 for domain errors (bad input files, empty hom
 sets, caps exceeded, ...), 2 for usage errors.
@@ -28,6 +31,7 @@ import random
 import sys
 from collections import Counter
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from operator import and_
 from typing import Any, Sequence
 
@@ -96,8 +100,9 @@ def parse_digraph(text: str) -> Digraph:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError('"edges" must be an array of [u, v] pairs')
+    # Edge -> its index; a duplicate raises, so the keys are the edges in
+    # input order.
     seen: dict[tuple[int, int], int] = {}
-    edges = []
     # ``json.loads`` builds exact lists and ints, so exact type tests
     # accept what it gives and still reject ``true`` as an endpoint.
     for i, entry in enumerate(raw_edges):
@@ -116,7 +121,6 @@ def parse_digraph(text: str) -> Digraph:
                 f"edge {i} = [{u}, {v}] duplicates edge {seen[(u, v)]}"
             )
         seen[(u, v)] = i
-        edges.append((u, v))
     labels = doc.get("labels")
     if labels is not None:
         if (
@@ -125,7 +129,7 @@ def parse_digraph(text: str) -> Digraph:
             or not all(isinstance(s, str) for s in labels)
         ):
             raise ParseError(f'"labels" must be an array of {n} strings')
-    return Digraph(n, edges)
+    return Digraph(n, seen)
 
 
 def _graph_json(g: Digraph) -> dict[str, Any]:
@@ -137,7 +141,7 @@ def emit_digraph(g: Digraph, labels: Sequence[str] | None = None) -> str:
     doc = _graph_json(g)
     if labels is not None:
         doc["labels"] = list(labels)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json(doc, "\n") + "\n"
 
 
 def _load_graph(path: str) -> Digraph:
@@ -146,6 +150,8 @@ def _load_graph(path: str) -> Digraph:
             text = fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text (byte {e.start})") from None
     try:
         return parse_digraph(text)
     except ParseError as e:
@@ -174,9 +180,52 @@ def _homology_json(h: HomologyGroups) -> list[dict[str, Any]]:
     ]
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INT = {int}
+_STR = {str}
+
+
+def _json(obj: Any, nl: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with each newline
+    written as ``nl``, the newline and indent of the enclosing level.
+
+    The stdlib's C encoder does not take ``indent`` before Python 3.14, so
+    the call runs its pure-Python encoder.  This writer builds the same
+    text from exact lists, ints, strs, str-keyed dicts, bools and None,
+    with a list of ints joined in one call; any other value is handed to
+    ``json.dumps`` and re-indented, so every value gives the stdlib's text.
+    """
+    t = type(obj)
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if set(map(type, obj)) == _INT:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json(x, inner) for x in obj]
+        return f"[{inner}{(',' + inner).join(items)}{nl}]"
+    if t is int:
+        return int.__repr__(obj)
+    if t is dict and set(map(type, obj)) == _STR:
+        inner = nl + "  "
+        items = [
+            f"{encode_basestring_ascii(k)}: {_json(obj[k], inner)}" for k in sorted(obj)
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if obj is None or t is bool:
+        return _CONSTANTS[obj]
+    # Floats, tuples, empty dicts, dicts with other keys, subclasses of int
+    # or bool.  JSON text holds no raw newline inside a string, so the
+    # replace only re-indents.
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+
+
 def _render(obj: Any, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return _json(obj, "\n") + "\n"
     return _render_table(obj)
 
 
@@ -268,8 +317,11 @@ def _cmd_nbd(ns: argparse.Namespace) -> Any:
     h = reduced_homology(nb)
     # The Euler characteristic is read off the homology, so no face is
     # enumerated.  A graph with no vertices gives the void complex, which
-    # has no faces and characteristic 0.
-    euler = 0 if nb.is_void else 1 + sum((-1) ** d * h.rank(d) for d in h.degrees())
+    # has no faces and characteristic 0.  The sign is an int: the complex
+    # {∅} has its homology in degree -1, where (-1) ** d is a float.
+    euler = 0 if nb.is_void else 1 + sum(
+        -h.rank(d) if d % 2 else h.rank(d) for d in h.degrees()
+    )
     # The in-complex always has the same homology, so one block covers both.
     out: dict[str, Any] = {
         "vertices": list(nb.vertices),

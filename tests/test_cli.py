@@ -48,6 +48,7 @@ from dihom import (
 )
 from dihom.cli import (
     _HOMOLOGY_CELL_LIMIT,
+    _json,
     build_parser,
     emit_digraph,
     parse_digraph,
@@ -172,6 +173,75 @@ class TestEmit:
     def test_labels_round_trip(self):
         text = emit_digraph(Digraph(2, [(0, 1)]), labels=["in", "out"])
         assert json.loads(text)["labels"] == ["in", "out"]
+
+
+class _Int(int):
+    """An int subclass, which the writer hands to ``json.dumps``."""
+
+
+# Any code point, lone surrogates included.
+json_text = st.text(st.characters(exclude_categories=()))
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    json_text,
+)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(st.integers(), max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+    )
+
+
+json_values = st.recursive(json_scalars, _json_containers, max_leaves=25)
+
+
+class TestJsonWriter:
+    """``cli._json`` against the stdlib's indented encoder."""
+
+    @given(json_values)
+    @example({"a\n\"b": ["\u00e9", "\ud800", 2**64, -1, True, None]})
+    @example([float("nan"), float("inf"), -float("inf"), 0.1, -0.0])
+    @example({"d": {}, "l": [], "t": (), "n": [[], {}, [[]]]})
+    @example([_Int(3), {_Int(1): [_Int(2)]}, [1, True, 2]])
+    @example({1: "a", 2: {"b": [3]}})
+    def test_matches_json_dumps(self, value):
+        assert _json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "T2", "T4"],
+            ["nbd", "NBD", "--check-leray", "1"],
+            ["reconfig", "T2", "4"],
+            ["homotopy", "T2", "T4", "0,1", "2,3"],
+            ["fold", "NBD"],
+            ["morse", "T2", "4"],
+            ["tournaments", "4"],
+            ["table1"],
+            ["sphere", "2"],
+            ["mycielski", "T2", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_stdout_is_the_stdlib_encoding(self, capsys, graph_file, argv):
+        graphs = {
+            "T2": transitive_tournament(2),
+            "T4": transitive_tournament(4),
+            "NBD": nbd_example_digraph(),
+        }
+        argv = [graph_file(graphs[a]) if a in graphs else a for a in argv]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def run_json(capsys, *argv):
@@ -391,6 +461,11 @@ class TestRunNbd:
         # The command reads it off the homology; the face count is the oracle.
         out = run_json(capsys, "nbd", graph_file(g))
         assert out["euler_characteristic"] == out_neighborhood_complex(g).euler_characteristic()
+
+    def test_euler_characteristic_of_the_empty_face_is_an_int(self, capsys, graph_file):
+        # Two points and no arc: the complex {∅}, whose one degree is -1.
+        assert run(["nbd", graph_file(Digraph(2))]) == 0
+        assert '"euler_characteristic": 0,' in capsys.readouterr().out
 
     def test_large_transitive_tournament_enumerates_no_faces(
         self, capsys, graph_file, monkeypatch
@@ -952,6 +1027,14 @@ class TestRunPlumbing:
         assert run(["nbd", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "bad.json:1:" in err
+
+    def test_undecodable_file_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"vertices": 1, "labels": ["\u00e9"]}'.encode("latin-1"))
+        assert run(["nbd", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "latin1.json" in err
+        assert err.count("\n") == 1
 
     def test_output_is_byte_identical(self, capsys):
         run(["table1"])
