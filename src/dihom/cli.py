@@ -63,7 +63,7 @@ from .homology import (
     reduced_homology,
 )
 from .homotopy import _fold_to_stiff, _HomRelations, _is_looped_point
-from .morse import _stages, is_acyclic_matching, tournament_matching
+from .morse import _stage_matching, _stages, is_acyclic_matching
 from .reconfig import meet_path
 
 # Posets larger than this skip the homology computation in `hom` output.
@@ -465,7 +465,7 @@ def _cmd_morse(ns: argparse.Namespace) -> Any:
     # The whole source is checked against T_n before any search, as
     # tournament_matching does.
     t = transitive_tournament(ns.n)
-    _stages(g, ns.n)
+    stages = _stages(g, ns.n)
     # A source of two or more weak components has the product of the
     # factors' posets, and the product of their matchings: a cell is
     # critical when all its factors are, and otherwise pairs by the first
@@ -473,9 +473,14 @@ def _cmd_morse(ns: argparse.Namespace) -> Any:
     # factor's is (Patchwork theorem, Kozlov 2008, Thm 11.10).
     parts = _split(g)
     posets = _factor_posets(parts, t, ns.cap)
-    matchings = [
-        tournament_matching(f, ns.n, poset=p) for (_, f), p in zip(parts, posets)
-    ]
+    # A vertex's level is a longest path inside its own component, and the
+    # peel sorts stably by label, so a factor's own peel is the whole
+    # peel's stages at its vertices, relabelled.
+    matchings = []
+    for (vs, _), p in zip(parts, posets):
+        index = {v: i for i, v in enumerate(vs)}
+        own = [(index[a], bit) for a, bit in stages if a in index]
+        matchings.append(_stage_matching(p, own))
     # Each factor has one critical cell, so the product has one, put back
     # together in source vertex order.
     critical: list[list[int]] = [[]] * g.n

@@ -14,6 +14,7 @@ objects.
 from __future__ import annotations
 
 import itertools
+from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _graph
@@ -87,19 +88,19 @@ class Digraph(_Frozen):
         _check_vertex_count(n)
         out = [0] * n
         inn = [0] * n
+        pairs = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertex(f"edge ({u}, {v}) out of range for {n} vertices")
+            # Plain ints, whatever int-like type the caller passed.
+            u, v = index(u), index(v)
             out[u] |= 1 << v
             inn[v] |= 1 << u
+            pairs.add((u, v))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_out", tuple(out))
         object.__setattr__(self, "_in", tuple(inn))
-        object.__setattr__(
-            self,
-            "edges",
-            frozenset((u, v) for u in range(n) for v in _bits(out[u])),
-        )
+        object.__setattr__(self, "edges", frozenset(pairs))
 
     # -- basic accessors ---------------------------------------------------
 

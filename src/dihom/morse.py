@@ -16,13 +16,17 @@ vertex ``a_k`` of ``G`` in peel order, each with a value ``t_k``
 (:func:`_stages`).  A cell's stage is the first ``k`` at which its set at
 ``a_k`` is not ``{t_k}``, and stage ``k`` pairs cells by adding or
 removing ``t_k`` at ``a_k``: an *element matching* (Jonsson 2008).  The
-checker certifies such a matching in one pass over its pairs.  The stage
-never rises from a cell to its faces, and an element matching has no
-V-path, so by the Patchwork theorem (Kozlov 2008, Thm 11.10) the union of
-the stages is acyclic.  Every valid matching on a hom poset tries this
-test first; one that fails it gets the V-path search, which reads the
-faces of each upper cell off :func:`digraph._faces` and decides every
-case.
+stage never rises from a cell to its faces, and an element matching has
+no V-path, so by the Patchwork theorem (Kozlov 2008, Thm 11.10) the union
+of the stages is acyclic.  The checker certifies a packed matching of
+this kind with one sort of its cells and one pass over its pairs: the
+sort shows that the pairs and critical cells hold every cell once, and
+the pass shows that each upper cell agrees with the earlier stages and
+holds ``t_k`` at ``a_k``, its lower cell being the upper one less that
+member, so every pair is a cover in stage order.  Only a matching that
+fails either test gets the separate cover tests, and a valid one then
+gets the V-path search, which reads the faces of each upper cell off
+:func:`digraph._faces` and decides every case.
 """
 
 from __future__ import annotations
@@ -134,20 +138,31 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     V-path: it alternates between the lower and upper cells of matched
     pairs one dimension apart (Forman 1998).  There the check works on
     packed cells: a pair is a cover when the two cells differ in one
-    member, held by the upper one.  A matching that keeps the packed
-    cells of ``p`` itself, as :func:`tournament_matching` makes one, is
-    validated in bulk with no index of the cells
-    (:func:`_is_packed_partition`): its packed cells, sorted, must be the
-    poset's, and each upper cell must hold its lower cell plus one
-    member.  Only when that fails does the pair-by-pair scan run, to name
-    the first failing pair.  A plain :class:`Poset` need not be graded,
-    so it gets the full modified Hasse diagram.
+    member, held by the upper one.
 
-    Every valid matching on a :class:`HomPoset`, packed or not, is then
-    checked by :func:`_packed_acyclic`.  On the hom poset of a DAG into
-    ``T_n`` it is first tested against the stages of the tournament
-    collapse (:func:`_in_stages`), which reads only ``p.source`` and
-    ``p.target``.  Say a cell is at stage ``k`` when its set at ``a_k``
+    A matching that keeps the packed cells of ``p`` itself, as
+    :func:`tournament_matching` makes one, is first certified with no
+    index of the cells, in this order:
+
+    1. its packed cells, sorted, must be the poset's, so each is a cell
+       and none is named twice;
+    2. every pair must pass the stage test (:func:`_in_stages`), which
+       also shows that each upper cell holds its lower cell plus one
+       member, so every pair is a cover.
+
+    Passing both, the matching is acyclic.  Failing either, it gets the
+    bulk cover tests of :func:`_is_packed_partition`: passing them, it
+    goes on to :func:`_packed_acyclic`; failing them, it gets the
+    pair-by-pair scan, which names the first failing pair.  A plain
+    :class:`Poset` need not be graded, so it gets the full modified Hasse
+    diagram.
+
+    Every valid matching on a :class:`HomPoset`, packed or not, that has
+    not been certified yet is checked by :func:`_packed_acyclic`.  On the
+    hom poset of a DAG into ``T_n`` it is first tested against the stages
+    of the tournament collapse (:func:`_in_stages`), which reads only
+    ``p.source`` and ``p.target``, never the builder's stages.  Say a
+    cell is at stage ``k`` when its set at ``a_k``
     is the first that differs from ``{t_k}``.  When every pair adds
     ``t_k`` at ``a_k`` for the stage ``k`` of its cells, the matching is
     acyclic: a face is at the same or a later stage than its cell, so a
@@ -161,6 +176,12 @@ def is_acyclic_matching(p: Poset | HomPoset, m: Matching) -> bool:
     """
     if m._poset is p:
         lowers, uppers, critical = m._packed
+        if (
+            len(lowers) == len(uppers)
+            and sorted(chain(lowers, uppers, critical)) == p._packed
+            and _in_stages(p, lowers, uppers)
+        ):
+            return True
         if _is_packed_partition(p._packed, lowers, uppers, critical):
             return _packed_acyclic(p, lowers, uppers)
         locate = p._position
@@ -244,6 +265,11 @@ def _is_packed_partition(
     from it, so each upper cell holds at least one more member, and the
     popcount sums leave room for exactly one.  That is the one-member
     cover test of the pair-by-pair scan in :func:`is_acyclic_matching`.
+
+    :func:`is_acyclic_matching` runs the sort first on its own and, when
+    the stage test (:func:`_in_stages`) then proves the covers, skips
+    the subset and popcount passes; this whole test runs only for a
+    matching that fails one of the two.
     """
     return (
         len(lowers) == len(uppers)
@@ -298,18 +324,20 @@ def _stages(g: Digraph, n: int) -> list[tuple[int, int]]:
 
 
 def _in_stages(p: HomPoset, lowers: list[int], uppers: list[int]) -> bool:
-    """Whether each pair ``lowers[k] < uppers[k]`` of ``p``, a cover with
-    every cell used once (:func:`_is_packed_partition`), toggles the
-    element of its upper cell's stage; then the matching is acyclic.
+    """Whether each pair ``lowers[k] < uppers[k]`` of ``p``, cells that
+    hold every cell once, is a cover that adds the element of its upper
+    cell's stage; then the matching is acyclic.
 
     Only a hom poset into a transitive tournament ``T_n`` from a source
     that peels within ``n`` levels has stages (a_k, t_k) (:func:`_stages`).
     A cell's stage is the first ``k`` at which its block at ``a_k`` is not
-    ``{t_k}``.  A pair passes when its upper cell less its lower cell is
-    the element ``t_k`` of block ``a_k`` and the upper cell's blocks at
-    ``a_0 .. a_(k-1)`` are ``{t_0} .. {t_(k-1)}``.  The lower cell's block
-    at ``a_k`` is then not empty, as no cell's is, so both cells of the
-    pair are at stage ``k``.
+    ``{t_k}``.  A pair passes when its two cells differ in the element
+    ``t_k`` of block ``a_k``, and the upper cell holds ``t_k`` there and
+    has the blocks ``{t_0} .. {t_(k-1)}`` at ``a_0 .. a_(k-1)``: one AND
+    with that stage's mask and one compare.  The lower cell is then the
+    upper one less ``t_k``, so the pair is a cover.  Its block at ``a_k``
+    is not empty, as no cell's is, so both cells of the pair are at stage
+    ``k``.
     """
     t = p.target
     if not t.n or t != transitive_tournament(t.n):
@@ -320,18 +348,21 @@ def _in_stages(p: HomPoset, lowers: list[int], uppers: list[int]) -> bool:
         return False
     full = (1 << p._width) - 1
     offsets = _shifts(p.source.n, p._width)
-    # Each stage's element, with the blocks of the stages before it and
-    # their values.
-    before: dict[int, tuple[int, int]] = {}
+    # Each stage's element, with the blocks of the stages before it plus
+    # the element, and their values plus the element.
+    at: dict[int, tuple[int, int]] = {}
     blocks = values = 0
     for a, bit in stages:
         element = bit << offsets[a]
-        before[element] = (blocks, values)
+        at[element] = (blocks | element, values | element)
         blocks |= full << offsets[a]
         values |= element
+    get = at.get
     for lower, upper in zip(lowers, uppers):
-        prior = before.get(upper ^ lower)
-        if prior is None or upper & prior[0] != prior[1]:
+        # A difference that is no stage's element gets a value that no
+        # cell meets under its mask.
+        mask, value = get(upper ^ lower, (0, 1))
+        if upper & mask != value:
             return False
     return True
 
@@ -351,9 +382,9 @@ def tournament_matching(
     are matched with the cells obtained by removing it.  The single
     unmatched cell is the homomorphism sending each vertex to its level
     value.  The stages come from :func:`_stages`, which
-    :func:`is_acyclic_matching` reads too.  The matching keeps the packed
-    cells of the poset and builds its :class:`MultiHom` views only when
-    they are read.
+    :func:`is_acyclic_matching` reads too, and the pairs from
+    :func:`_stage_matching`.  The matching keeps the packed cells of the
+    poset and builds its :class:`MultiHom` views only when they are read.
 
     Raises :class:`NotAcyclic` for non-DAGs, :class:`EmptyHom` when
     there is no homomorphism (a directed path on more than ``n`` vertices)
@@ -368,10 +399,25 @@ def tournament_matching(
         poset = hom_poset(g, t, cap)
     elif poset.source != g or poset.target != t:
         raise ShapeMismatch(f"{poset!r} is not the hom poset of the source into T_{n}")
+    return _stage_matching(poset, stages)
+
+
+def _stage_matching(poset: HomPoset, stages: list[tuple[int, int]]) -> Matching:
+    """The matching of :func:`tournament_matching` on ``poset``, the hom
+    poset of a source into ``T_n``, by that source's :func:`_stages`.
+
+    Each stage splits the cells still unmatched by their block at its
+    vertex: the cells whose block is the stage's value go on, and each
+    cell that holds the value and more is an upper cell, paired with
+    itself less the value.
+
+    Raises :class:`ShapeMismatch` when the pairs and one critical cell do
+    not hold every cell of ``poset``.
+    """
     # Work on the packed cells: vertex a's assignment is the block at
     # ``offsets[a]``.
     full = (1 << poset._width) - 1
-    offsets = _shifts(g.n, poset._width)
+    offsets = _shifts(poset.source.n, poset._width)
     uppers: list[int] = []
     lowers: list[int] = []
     live = poset._packed
@@ -394,7 +440,9 @@ def tournament_matching(
     # of its cells: the counts add up exactly when the pairs and the one
     # critical cell hold every cell.
     if len(live) != 1 or 2 * len(lowers) + 1 != len(poset):
-        raise ShapeMismatch(f"{poset!r} is not the hom poset of the source into T_{n}")
+        raise ShapeMismatch(
+            f"{poset!r} is not the hom poset of the source into T_{poset.target.n}"
+        )
     return Matching._from_packed(poset, lowers, uppers, live)
 
 

@@ -147,6 +147,14 @@ class TestDigraph:
         g = Digraph(2, [(0, 1), (0, 1), (0, 1)])
         assert g.edge_count == 1
 
+    def test_edge_endpoints_are_plain_ints(self):
+        g = Digraph(2, [(True, 0)])
+        assert g.edges == {(1, 0)}
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert g == Digraph(2, [(1, 0)])
+        with pytest.raises(TypeError):
+            Digraph(2, [(0.0, 1)])
+
     def test_out_of_range_vertex(self):
         with pytest.raises(InvalidVertex):
             Digraph(2, [(0, 2)])

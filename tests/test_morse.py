@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dihom.cli
 import dihom.morse
 from dihom import (
     Digraph,
@@ -49,6 +50,7 @@ from dihom.morse import (
     _in_stages,
     _is_packed_partition,
     _packed_acyclic,
+    _stage_matching,
     _stages,
 )
 
@@ -688,6 +690,88 @@ class TestStageCheck:
                 else:
                     with pytest.raises(EmptyHom):
                         _stages(g, n)
+
+
+class TestCertificateOrder:
+    """A packed matching on its own poset is certified by the sort and the
+    stage test alone; one that fails either gets the bulk cover tests, the
+    scan or the V-path search, with the same verdict or message as its
+    views."""
+
+    @staticmethod
+    def _same_as_views(p, packed):
+        m = Matching._from_packed(p, *packed)
+        verdict = _verdict(p, m)
+        assert verdict == _verdict(p, Matching(m.pairs, m.critical))
+        return verdict
+
+    @pytest.mark.parametrize(
+        "g, n", [(Digraph(2), 3), (Digraph(3, [(0, 2), (1, 2)]), 3), (directed_path(3), 4)]
+    )
+    def test_reversed_pair_is_no_cover(self, monkeypatch, g, n):
+        # Turned upside down, a pair still toggles its stage's element and
+        # its cells are still every cell once, but the upper cell lacks the
+        # element: the stage test rejects it, and the scan names it.
+        p = hom_poset(g, transitive_tournament(n))
+        lowers, uppers, critical = tournament_matching(g, n, poset=p)._packed
+        walks = TestStageCheck._walks(monkeypatch)
+        for k in range(0, len(lowers), 3):
+            lows = lowers[:k] + [uppers[k]] + lowers[k + 1 :]
+            ups = uppers[:k] + [lowers[k]] + uppers[k + 1 :]
+            assert not _in_stages(p, lows, ups)
+            verdict = self._same_as_views(p, (lows, ups, critical))
+            assert "is not a covering pair" in verdict
+        assert walks == []
+
+    def test_earlier_stage_disagreement_gets_the_walk(self, monkeypatch):
+        # The stages of two isolated vertices into T_3, taken in reverse:
+        # every pair toggles a stage's element, but pairs of vertex 1 whose
+        # set at vertex 0 is not {2} disagree with vertex 0's earlier stage.
+        p = hom_poset(Digraph(2), transitive_tournament(3))
+        packed = _stage_matching(p, _stages(Digraph(2), 3)[::-1])._packed
+        elements = {b ^ a for a, b in zip(*packed[:2])}
+        assert len(elements) == 2
+        assert _is_packed_partition(p._packed, *packed)
+        assert not _in_stages(p, *packed[:2])
+        walks = TestStageCheck._walks(monkeypatch)
+        assert self._same_as_views(p, packed) is True
+        assert len(walks) == 2  # the packed matching and its views
+        assert _oracle(p, Matching._from_packed(p, *packed)) is True
+
+    def test_missing_or_repeated_cells_raise(self, monkeypatch):
+        g = Digraph(3, [(0, 2), (1, 2)])
+        p = hom_poset(g, transitive_tournament(3))
+        lowers, uppers, critical = tournament_matching(g, 3, poset=p)._packed
+        walks = TestStageCheck._walks(monkeypatch)
+        for packed, message in [
+            ((lowers, uppers, []), "do not partition"),
+            ((lowers[1:], uppers[1:], critical + uppers[:1]), "do not partition"),
+            ((lowers, uppers, critical * 2), "both matched and critical"),
+            ((lowers, uppers, critical + lowers[-1:]), "both matched and critical"),
+        ]:
+            assert message in self._same_as_views(p, packed)
+        assert walks == []
+
+    def test_dihom_morse_peels_once_per_factor(self, monkeypatch, tmp_path, capsys):
+        # One peel of the whole source builds every factor's matching; the
+        # certificate peels each factor itself.
+        peeled = []
+
+        def counted(g, n):
+            peeled.append(g)
+            return _stages(g, n)
+
+        monkeypatch.setattr(dihom.morse, "_stages", counted)
+        monkeypatch.setattr(dihom.cli, "_stages", counted)
+        g = Digraph(5, [(3, 0), (0, 4), (2, 1)])
+        path = tmp_path / "g.json"
+        path.write_text(emit_digraph(g), encoding="utf-8")
+        assert run(["morse", str(path), "4"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        # Levels 1, 0, 1, 2, 0 give the values 4 - 1 - level.
+        assert out["critical"] == [[[2], [3], [2], [1], [3]]]
+        assert out["acyclic"] is True
+        assert peeled == [g, Digraph(3, [(1, 0), (0, 2)]), Digraph(2, [(1, 0)])]
 
 
 class TestCollapseFreePairs:
