@@ -15,10 +15,14 @@ escapes every non-ASCII character and ends in a newline: it is exactly
 Exit codes: 0 on success, 1 for domain errors (bad input files, empty hom
 sets, caps exceeded, ...), 2 for usage errors.
 
-:func:`run` may be called any number of times in one process.  It builds
-its parser on the first call and reuses it for every later one, so a call
-pays only for its own arguments, files and result; :func:`build_parser`
-returns a fresh parser each time.
+:func:`run` may be called any number of times in one process.  The
+grammar is one command table, ``_COMMANDS``.  Argv of the exact form
+(global ``--flag value`` pairs, the subcommand, then its positionals and
+its own ``--flag value`` pairs in any order) is read from that table with
+no parser.  Help, version, ``--opt=value``, abbreviations, negative
+numbers, ``--`` and every usage error go through argparse unchanged; its
+parser is built from the same table on first need and reused.
+:func:`build_parser` returns a fresh parser each time.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from collections import Counter
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import and_
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .complexes import in_neighborhood_complex, out_neighborhood_complex
@@ -502,73 +506,121 @@ def _cmd_morse(ns: argparse.Namespace) -> Any:
 # ---------------------------------------------------------------------------
 
 
+class _Positional(NamedTuple):
+    dest: str
+    type: Callable[[str], Any] | None = None
+    choices: tuple[Any, ...] | None = None
+
+
+class _Option(NamedTuple):
+    flag: str
+    dest: str
+    type: Callable[[str], Any] | None = None
+    default: Any = None
+    metavar: str | None = None
+    choices: tuple[Any, ...] | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    func: Callable[[argparse.Namespace], Any] | None
+    help: str
+    positionals: tuple[_Positional, ...] = ()
+    options: tuple[_Option, ...] = ()
+
+
+# The grammar of the command line, read by both build_parser and
+# _read_argv.  The entry under None is the program itself: its help is the
+# description and its options are the global ones.
+_COMMANDS: dict[str | None, _Command] = {
+    None: _Command(
+        None,
+        "Homomorphism complexes of directed graphs.",
+        options=(
+            _Option(
+                "--format",
+                "format",
+                default="json",
+                choices=("json", "table"),
+                help="output format",
+            ),
+            _Option(
+                "--cap",
+                "cap",
+                int,
+                DEFAULT_CAP,
+                help="cell/chain cap for enumerations (default %(default)s)",
+            ),
+            _Option("--seed", "seed", int, help="seed for randomized choices"),
+        ),
+    ),
+    "hom": _Command(
+        _cmd_hom,
+        "hom poset of a graph pair",
+        (_Positional("source"), _Positional("target")),
+    ),
+    "nbd": _Command(
+        _cmd_nbd,
+        "out/in neighborhood complexes of a graph",
+        (_Positional("graph"),),
+        (_Option("--check-leray", "check_leray", int, metavar="N"),),
+    ),
+    "fold": _Command(_cmd_fold, "fold to the stiff reduction", (_Positional("graph"),)),
+    "reconfig": _Command(
+        _cmd_reconfig,
+        "reconfiguration into a transitive tournament",
+        (_Positional("graph"), _Positional("n", int)),
+    ),
+    "homotopy": _Command(
+        _cmd_homotopy,
+        "compare two homomorphisms",
+        tuple(map(_Positional, ("source", "target", "f", "g"))),
+    ),
+    "table1": _Command(_cmd_table1, "classify 5-vertex tournaments by homology"),
+    "tournaments": _Command(
+        _cmd_tournaments, "tournaments up to isomorphism", (_Positional("n", int),)
+    ),
+    "mycielski": _Command(
+        _cmd_mycielski,
+        "directed Mycielskian of a graph",
+        (_Positional("graph"), _Positional("variant", int, (1, 2, 3))),
+    ),
+    "sphere": _Command(
+        _cmd_sphere, "sphere tournament and its facets", (_Positional("n", int),)
+    ),
+    "morse": _Command(
+        _cmd_morse,
+        "collapsing matching onto a tournament target",
+        (_Positional("graph"), _Positional("n", int)),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dihom",
-        description="Homomorphism complexes of directed graphs.",
-    )
+    def add_arguments(p: argparse.ArgumentParser, command: _Command) -> None:
+        for a in command.positionals:
+            p.add_argument(a.dest, type=a.type, choices=a.choices)
+        for o in command.options:
+            p.add_argument(
+                o.flag,
+                dest=o.dest,
+                type=o.type,
+                default=o.default,
+                metavar=o.metavar,
+                choices=o.choices,
+                help=o.help,
+            )
+
+    main = _COMMANDS[None]
+    parser = argparse.ArgumentParser(prog="dihom", description=main.help)
     parser.add_argument("--version", action="version", version=f"dihom {__version__}")
-    parser.add_argument(
-        "--format", choices=("json", "table"), default="json", help="output format"
-    )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_CAP,
-        help="cell/chain cap for enumerations (default %(default)s)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized choices"
-    )
+    add_arguments(parser, main)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hom", help="hom poset of a graph pair")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(func=_cmd_hom)
-
-    p = sub.add_parser("nbd", help="out/in neighborhood complexes of a graph")
-    p.add_argument("graph")
-    p.add_argument("--check-leray", type=int, default=None, metavar="N")
-    p.set_defaults(func=_cmd_nbd)
-
-    p = sub.add_parser("fold", help="fold to the stiff reduction")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_fold)
-
-    p = sub.add_parser("reconfig", help="reconfiguration into a transitive tournament")
-    p.add_argument("graph")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_reconfig)
-
-    p = sub.add_parser("homotopy", help="compare two homomorphisms")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_homotopy)
-
-    p = sub.add_parser("table1", help="classify 5-vertex tournaments by homology")
-    p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("tournaments", help="tournaments up to isomorphism")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_tournaments)
-
-    p = sub.add_parser("mycielski", help="directed Mycielskian of a graph")
-    p.add_argument("graph")
-    p.add_argument("variant", type=int, choices=(1, 2, 3))
-    p.set_defaults(func=_cmd_mycielski)
-
-    p = sub.add_parser("sphere", help="sphere tournament and its facets")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_sphere)
-
-    p = sub.add_parser("morse", help="collapsing matching onto a tournament target")
-    p.add_argument("graph")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_morse)
-
+    for name, command in _COMMANDS.items():
+        if name is not None:
+            p = sub.add_parser(name, help=command.help)
+            add_arguments(p, command)
+            p.set_defaults(func=command.func)
     return parser
 
 
@@ -576,11 +628,82 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def run(argv: Sequence[str] | None = None) -> int:
+def _value(arg: _Positional | _Option, text: str) -> Any:
+    """``text`` through ``arg``'s type and choices, as argparse checks it;
+    ``ValueError`` where argparse reports a usage error."""
+    value = text if arg.type is None else arg.type(text)
+    if arg.choices is not None and value not in arg.choices:
+        raise ValueError(text)
+    return value
+
+
+def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, read off
+    ``_COMMANDS`` in one pass; ``None`` unless ``argv`` has the exact form.
+
+    The exact form is global ``--flag value`` pairs, the subcommand, then
+    its positionals and its own ``--flag value`` pairs in any order, each
+    flag at most once.  Anything else is left to argparse: any other token
+    led by ``-`` (help, version, ``--opt=value``, an abbreviation, a
+    negative number, ``--``), a repeated flag, a value that fails its type
+    or choices, a missing value or a wrong number of positionals.
+    """
+    command = _COMMANDS[None]
+    name = None
+    given: dict[str, tuple[_Positional | _Option, str]] = {}
+    positionals = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            if name is None:
+                name = token
+                command = _COMMANDS.get(token)
+                if command is None:
+                    return None
+            else:
+                positionals.append(token)
+            continue
+        for option in command.options:
+            if option.flag == token:
+                break
+        else:
+            return None
+        text = next(tokens, None)
+        if text is None or text[:1] == "-" or option.dest in given:
+            return None
+        given[option.dest] = option, text
+    if name is None or len(positionals) != len(command.positionals):
+        return None
+    for arg, text in zip(command.positionals, positionals):
+        given[arg.dest] = arg, text
+    values = {o.dest: o.default for o in _COMMANDS[None].options + command.options}
     try:
-        ns = _parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+        for dest, (arg, text) in given.items():
+            values[dest] = _value(arg, text)
+    except ValueError:
+        return None
+    values["command"] = name
+    values["func"] = command.func
+    # Filled in place: Namespace(**values) sets the attributes one by one.
+    ns = argparse.Namespace()
+    vars(ns).update(values)
+    return ns
+
+
+def run(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _read_argv(argv)
+    if ns is None:
+        parser = _parser()
+        try:
+            ns = parser.parse_args(argv)
+            # argparse of Python 3.10-3.13.0 reads a "--" that stands for a
+            # positional, as in `hom -- a --`, as the value [].
+            if [] in vars(ns).values():
+                parser.error("'--' given where a value was expected")
+        except SystemExit as e:
+            return int(e.code or 0)
     try:
         result = ns.func(ns)
     except DihomError as e:

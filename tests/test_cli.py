@@ -47,8 +47,11 @@ from dihom import (
     transitive_tournament,
 )
 from dihom.cli import (
+    _COMMANDS,
     _HOMOLOGY_CELL_LIMIT,
     _json,
+    _parser,
+    _read_argv,
     build_parser,
     emit_digraph,
     parse_digraph,
@@ -994,6 +997,12 @@ class TestRunPlumbing:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    def test_double_dash_as_a_positional_is_no_crash(self, capsys):
+        # argparse of Python 3.10-3.13.0 reads the second "--" as the value
+        # []; a version that reads it as the path "--" makes this exit 1.
+        assert run(["hom", "--", "a.json", "--"]) in (1, 2)
+        assert capsys.readouterr().out == ""
+
     def test_module_entry_point(self):
         # The package imports the CLI module, so running that module with
         # -m warns; the package's own __main__ must not.
@@ -1067,10 +1076,25 @@ class TestRunPlumbing:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        _parser.cache_clear()
+        # Exact forms of the ten subcommands are read without a parser.
         path = graph_file(transitive_tournament(2))
-        run_json(capsys, "reconfig", path, "3")
-        run_json(capsys, "nbd", path)
-        assert built.count("dihom") <= 1
+        run_json(capsys, "hom", path, path)
+        run_json(capsys, "nbd", path, "--check-leray", "1")
+        run_json(capsys, "fold", path)
+        run_json(capsys, "--seed", "3", "reconfig", path, "3")
+        run_json(capsys, "homotopy", path, path, "0,1", "0,1")
+        run_json(capsys, "table1")
+        run_json(capsys, "--format", "json", "tournaments", "3")
+        run_json(capsys, "mycielski", path, "2")
+        run_json(capsys, "sphere", "1")
+        run_json(capsys, "--cap", "100", "morse", path, "3")
+        assert built == []
+        # Other forms build the one parser on first need.
+        assert run(["--cap=5", "tournaments", "3"]) == 0
+        assert run(["nbd", "--help"]) == 0
+        assert "usage: dihom nbd" in capsys.readouterr().out
+        assert built.count("dihom") == 1
         assert build_parser() is not build_parser()
 
     def test_a_seed_does_not_stick(self, capsys, graph_file):
@@ -1104,3 +1128,173 @@ class TestRunPlumbing:
         out = run_json(capsys, "hom", src, dst)
         assert out["cells"] == 17
         assert out["connected"] is True
+
+
+# The argv grammar of the reader and contract properties: the subcommands,
+# the flags, their values and every form the reader leaves to argparse.
+SUBCOMMANDS = [name for name in _COMMANDS if name is not None]
+ARGV_VALUES = [
+    "json",
+    "table",
+    *map(str, range(-1, 8)),
+    str(2**70),
+    "1_0",
+    # int() reads this one, but argparse does not take it for a number.
+    "-1_0",
+    " 7",
+    "+4",
+    "1.5",
+    "0,1,2",
+    "",
+    "-",
+    "--",
+    "-h",
+    "--help",
+    "--version",
+    "--cap=3",
+    "--ca",
+    "--form",
+]
+ARGV_FLAGS = ["--format", "--cap", "--seed", "--check-leray"]
+
+
+@st.composite
+def argvs(draw, paths):
+    """0-7 tokens: a free mix of the grammar, or the exact form (global
+    flag pairs, a subcommand, then positionals and ``--check-leray`` in any
+    order) with its values drawn from the whole grammar, cut at 7."""
+    token = st.sampled_from(SUBCOMMANDS + ARGV_FLAGS + ARGV_VALUES + paths)
+    if draw(st.integers(0, 2)) == 0:
+        return draw(st.lists(token, max_size=7))
+    value = st.sampled_from(ARGV_VALUES + paths) | st.sampled_from(
+        ["0", "1", "2", "3", "json", "table", *paths]
+    )
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(ARGV_FLAGS[:3]), max_size=2)):
+        argv += [flag, draw(value)]
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    argv.append(name)
+    count = st.just(len(_COMMANDS[name].positionals)) | st.integers(0, 4)
+    rest = [[draw(value)] for _ in range(draw(count))]
+    if draw(st.booleans()) and (name == "nbd" or draw(st.booleans())):
+        rest.append(["--check-leray", draw(value)])
+    for chunk in draw(st.permutations(rest)):
+        argv += chunk
+    return argv[:7]
+
+
+def _parse_or_exit(parser, argv):
+    """``parser.parse_args(argv)``, or ``None`` where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+# Exact forms the reader takes, one or more per subcommand.
+EXACT_ARGVS = [
+    ["hom", "g.json", "h.json"],
+    ["--cap", "7", "nbd", "g.json"],
+    ["nbd", "--check-leray", "1", "g.json"],
+    ["nbd", "g.json", "--check-leray", "1"],
+    ["--format", "table", "fold", "g.json"],
+    ["--seed", "3", "--cap", "1_0", "reconfig", "g.json", " 7"],
+    ["homotopy", "g.json", "h.json", "0,1", "1,0"],
+    ["table1"],
+    ["tournaments", "+4"],
+    ["mycielski", "g.json", "3"],
+    ["sphere", "2"],
+    ["morse", "g.json", str(2**70)],
+]
+# Forms the reader leaves to argparse: some argparse takes, some it rejects.
+FALLBACK_ARGVS = [
+    ["reconfig", "g.json", "-1"],
+    ["--cap", "-5", "table1"],
+    ["mycielski", "g.json", "4"],
+    ["--cap", "3", "--cap", "4", "table1"],
+    ["nbd", "g.json", "--check-leray", "1", "--check-leray", "2"],
+    ["fold", "g.json", "h.json"],
+    ["fold"],
+    ["--cap=3", "table1"],
+    ["--form", "table", "table1"],
+    ["nbd", "g.json", "--check-leray"],
+    ["tournaments", "1.5"],
+    ["--", "table1"],
+    ["nbd", "-", "--check-leray", "1"],
+    ["--help"],
+    ["--version"],
+    ["nbd", "--help"],
+    ["nbd", "g.json", "--format", "json"],
+    [],
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_graph_paths(tmp_path_factory):
+    """Graph files of at most 3 vertices: an arc, a looped graph, a cycle,
+    malformed JSON, and a path to no file."""
+    folder = tmp_path_factory.mktemp("tiny")
+    docs = {
+        "arc.json": '{"vertices": 3, "edges": [[0, 1]]}',
+        "loop.json": '{"vertices": 2, "edges": [[0, 0], [0, 1]]}',
+        "cycle.json": '{"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]]}',
+        "bad.json": '{"vertices": 3, "edges": [[0',
+    }
+    for name, text in docs.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    return [str(folder / name) for name in [*docs, "missing.json"]]
+
+
+class TestArgvReader:
+    """``cli._read_argv`` against argparse, and ``run`` on any argv."""
+
+    parser = build_parser()
+
+    @settings(max_examples=400, deadline=None)
+    @given(argvs(["g.json", "h.json"]))
+    @example(["reconfig", "g.json", "-1"])
+    @example(["--cap", "-5", "table1"])
+    @example(["mycielski", "g.json", "4"])
+    @example(["nbd", "--check-leray", "1", "g.json"])
+    @example(["nbd", "g.json", "--check-leray", "1"])
+    @example(["--cap", "3", "--cap", "4", "table1"])
+    @example(["fold", "g.json", "h.json"])
+    @example(["reconfig", "g.json", "-1_0"])
+    def test_reader_agrees_with_argparse(self, argv):
+        ns = _read_argv(argv)
+        if ns is not None:
+            assert ns == _parse_or_exit(self.parser, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_run_keeps_the_cli_contract(self, tiny_graph_paths, data):
+        """Exit 0, 1 or 2 and no exception; an error is one ``error:`` line
+        and a usage error prints usage, each with nothing on stdout.  The
+        integers are small or 2**70, which the size checks reject at once."""
+        argv = data.draw(argvs(tiny_graph_paths))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out.getvalue() == ""
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+        elif code == 2:
+            assert out.getvalue() == ""
+            assert "usage:" in err.getvalue()
+        else:
+            assert err.getvalue() == ""
+
+    @pytest.mark.parametrize("argv", EXACT_ARGVS, ids=" ".join)
+    def test_exact_forms_are_read(self, argv):
+        ns = _read_argv(argv)
+        assert ns is not None
+        assert ns == _parse_or_exit(self.parser, argv)
+
+    @pytest.mark.parametrize("argv", FALLBACK_ARGVS, ids=" ".join)
+    def test_other_forms_are_left_to_argparse(self, argv):
+        assert _read_argv(argv) is None
